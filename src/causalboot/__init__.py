@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .config import BlbConfig
 from .data import ObservationTable, draw_subset, load_csv, subset_size
-from .engine import BlbEstimate, SubsetEstimate, SubsetFit, run_blb
+from .engine import BlbEstimate, SubsetEstimate, SubsetFit, iter_subsets, run_blb
 from .errors import (
     CausalbootError,
     ConfigError,
@@ -76,6 +76,7 @@ __all__ = [
     "fit_logistic_irls",
     "generate_dgm",
     "hajek_ipw",
+    "iter_subsets",
     "load_csv",
     "load_external_scores",
     "marginal_propensity",

@@ -25,13 +25,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    BlbConfig,
-    CI_KINDS,
-    DEFAULT_MAX_REDRAWS,
-    DEFAULT_TRUNCATION,
-    DEFAULT_WEIGHT_CAP,
-)
+from .config import BlbConfig, CI_KINDS
 from .data import load_csv
 from .engine import BlbEstimate, run_blb
 from .errors import CausalbootError, ConfigError, DataError, EstimationError
@@ -263,31 +257,36 @@ def _split_method(method: str) -> tuple[str, str | None]:
     return method, None
 
 
-def _build_config(args, file_values, n_hint=None) -> BlbConfig:
-    method = _merge(args, file_values, "method", "logistic", str)
+def _build_config(args, file_values) -> BlbConfig:
+    """Merge flags and file values over the ``BlbConfig`` defaults; only
+    ``threads`` defaults to the machine's parallelism instead."""
+    default = BlbConfig()
+    method = _merge(args, file_values, "method", default.estimator, str)
     estimator, scores_path = _split_method(method)
     gamma = _merge(args, file_values, "gamma", None, float)
-    subset_size = _merge(args, file_values, "subset_size", None, int)
+    subset_size = _merge(args, file_values, "subset_size", default.subset_size, int)
     if gamma is not None and subset_size is not None:
         raise ConfigError("--gamma and --subset-size are mutually exclusive")
     if gamma is None and subset_size is None:
-        gamma = 0.7
+        gamma = default.gamma
     config = BlbConfig(
         gamma=gamma,
         subset_size=subset_size,
-        subsets=_merge(args, file_values, "subsets", 10, int),
-        replicates=_merge(args, file_values, "replicates", 100, int),
-        seed=_merge(args, file_values, "seed", 0, int),
-        truncation=_merge(args, file_values, "truncate", DEFAULT_TRUNCATION,
+        subsets=_merge(args, file_values, "subsets", default.subsets, int),
+        replicates=_merge(args, file_values, "replicates", default.replicates, int),
+        seed=_merge(args, file_values, "seed", default.seed, int),
+        truncation=_merge(args, file_values, "truncate", default.truncation,
                           lambda s: tuple(float(v) for v in s.split(","))),
-        alpha=_merge(args, file_values, "alpha", 0.05, float),
-        ci_kind=_merge(args, file_values, "ci", "percentile", str),
+        alpha=_merge(args, file_values, "alpha", default.alpha, float),
+        ci_kind=_merge(args, file_values, "ci", default.ci_kind, str),
         estimator=estimator,
         external_scores=scores_path,
-        balance_threshold=_merge(args, file_values, "balance_threshold", 0.1, float),
-        redraw_on_imbalance=_merge(args, file_values, "redraw_on_imbalance", False, _parse_bool),
-        max_redraws=_merge(args, file_values, "max_redraws", DEFAULT_MAX_REDRAWS, int),
-        weight_cap=_merge(args, file_values, "weight_cap", DEFAULT_WEIGHT_CAP, float),
+        balance_threshold=_merge(args, file_values, "balance_threshold",
+                                 default.balance_threshold, float),
+        redraw_on_imbalance=_merge(args, file_values, "redraw_on_imbalance",
+                                   default.redraw_on_imbalance, _parse_bool),
+        max_redraws=_merge(args, file_values, "max_redraws", default.max_redraws, int),
+        weight_cap=_merge(args, file_values, "weight_cap", default.weight_cap, float),
         threads=_merge(args, file_values, "threads", _default_threads(), int),
     )
     return config.validate()
@@ -344,8 +343,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     R = _merge(args, file_values, "replications", None, int)
     if n is None or R is None:
         raise ConfigError("--n and --replications are required")
-    if R < 10:
-        raise ConfigError(f"--replications must be at least 10, got {R}")
     out_dir = Path(_merge(args, file_values, "output", ".", str))
 
     summary = run_replications(R, n, config, seed=config.seed, threads=config.threads)
@@ -399,15 +396,6 @@ def cmd_relerr(args: argparse.Namespace) -> int:
     data_reps = _merge(args, file_values, "data_reps", 10, int)
     seed = _merge(args, file_values, "seed", 0, int)
     out_dir = Path(_merge(args, file_values, "output", ".", str))
-    for g in gammas:
-        if not 0.0 < g <= 1.0:
-            raise ConfigError(f"gamma must be in (0, 1], got {g}")
-    if r < 2:
-        raise ConfigError(f"--replicates must be at least 2, got {r}")
-    if oracle_reps < 100:
-        raise ConfigError(f"--oracle-reps must be at least 100, got {oracle_reps}")
-    if data_reps < 1:
-        raise ConfigError(f"--data-reps must be at least 1, got {data_reps}")
 
     trajectories = run_relerr_harness(
         n, gammas, r=r, oracle_reps=oracle_reps, data_reps=data_reps, seed=seed
@@ -455,11 +443,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     seed = _merge(args, file_values, "seed", 0, int)
     grid = bool(getattr(args, "grid", False))
     out_dir = Path(_merge(args, file_values, "output", ".", str))
-    if reps < 1:
-        raise ConfigError(f"--reps must be at least 1, got {reps}")
-    for s in s_values:
-        if s < 1:
-            raise ConfigError(f"subset count must be at least 1, got {s}")
 
     grid_ps = [2, 10, 50] if grid and p == 2 else [p]
     cells = benchmark_timing(
@@ -554,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated subset counts")
     benchmark.add_argument("--p", type=int, default=None, help="number of confounders")
     benchmark.add_argument("--reps", type=int, default=None, help="timed runs per cell")
-    benchmark.add_argument("--threads", type=int, default=None)
     benchmark.add_argument("--grid", action="store_true",
                            help="vary (n, p) with s in {2, 4}, timing fits only")
     benchmark.add_argument("--seed", type=int, default=None)

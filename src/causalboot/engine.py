@@ -11,6 +11,11 @@ arm sizes (n1, n0).  Each replicate yields
 and per-subset summaries (mean, bootstrap SD, percentile bounds, the
 whole-subset Hajek estimate) are averaged across subsets.
 
+``iter_subsets`` is the one subset pipeline and ``run_subset`` the one
+replicate kernel; ``run_blb`` folds the former into a ``BlbEstimate``,
+and the relative-error study in ``simulation`` folds it into running
+intervals.
+
 Every random draw comes from a substream keyed by (seed, subset,
 attempt), with a subset's replicates drawn in a fixed batched order
 from its own stream, so results are bit-identical regardless of thread
@@ -20,6 +25,7 @@ count or scheduling.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -91,6 +97,10 @@ class SubsetEstimate:
     fit_iterations: int
     fit_objective: float
     clamped: int
+    # Wall time of the subset's fits over all attempts and of its
+    # resampling; reported outside payloads.
+    fit_seconds: float = 0.0
+    resample_seconds: float = 0.0
 
 
 @dataclass
@@ -155,45 +165,6 @@ def order_subset(
         weights=weights,
         fit=fit_ord,
     )
-
-
-def draw_multinomial(probs: np.ndarray, size: int, stream: np.random.Generator) -> np.ndarray:
-    """One multinomial count vector with total ``size`` over ``probs``.
-
-    Delegates to numpy's generator, which decomposes the draw into
-    sequential conditional binomials (O(cells) per draw, independent of
-    ``size``).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if size < 0:
-        raise EstimationError(f"size must be nonnegative, got {size}")
-    if (probs < 0).any():
-        raise EstimationError("probabilities must be nonnegative")
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise EstimationError(f"probabilities sum to {total!r}, not 1")
-    if size == 0:
-        return np.zeros(probs.shape[0], dtype=np.int64)
-    return stream.multinomial(size, probs).astype(np.int64)
-
-
-def _estimate_from_counts(
-    m0: np.ndarray, m1: np.ndarray, y0: np.ndarray, y1: np.ndarray, n0: int, n1: int
-) -> float:
-    return float((m1 @ y1) / n1 - (m0 @ y0) / n0)
-
-
-def replicate_estimate(m: np.ndarray, subsetfit: SubsetFit, n0: int, n1: int) -> float:
-    """Weighted replicate estimate from a concatenated count vector.
-
-    ``m`` holds the control counts (first b0 entries, summing to n0)
-    followed by the treated counts (summing to n1).
-    """
-    m = np.asarray(m)
-    if m.shape[0] != subsetfit.b:
-        raise EstimationError("count vector length does not match subset size")
-    b0 = subsetfit.b0
-    return _estimate_from_counts(m[:b0], m[b0:], subsetfit.y0, subsetfit.y1, n0, n1)
 
 
 def run_subset(
@@ -279,12 +250,12 @@ def _run_one_subset(
     k: int,
     b: int,
     external: PropensityFit | None,
-) -> tuple[SubsetEstimate, dict]:
+) -> SubsetEstimate:
     """Draw subset ``k``, redrawing on degeneracy, overlap, or fit failure."""
     n0, n1 = table.n0, table.n1
     lo, hi = config.truncation
     reasons: list[str] = []
-    timing = {"fit_seconds": 0.0, "resample_seconds": 0.0}
+    fit_seconds = 0.0
     for attempt in range(config.max_redraws + 1):
         stream = rng.substream(config.seed, rng.DOMAIN_SUBSET, k, attempt)
         indices = draw_subset(table, b, stream)
@@ -299,10 +270,10 @@ def _run_one_subset(
             fit = truncate_scores(fit, lo, hi)
             subsetfit = order_subset(table, indices, fit, subset_id=k)
         except EstimationError as exc:
-            timing["fit_seconds"] += time.perf_counter() - t0
             reasons.append(f"attempt {attempt}: {exc}")
             continue
-        timing["fit_seconds"] += time.perf_counter() - t0
+        finally:
+            fit_seconds += time.perf_counter() - t0
         max_weight = max(
             float(subsetfit.weights.w0.max()), float(subsetfit.weights.w1.max())
         )
@@ -333,25 +304,27 @@ def _run_one_subset(
             redraws=attempt,
             balance=balance,
         )
-        timing["resample_seconds"] += time.perf_counter() - t0
-        return estimate, timing
+        estimate.resample_seconds = time.perf_counter() - t0
+        estimate.fit_seconds = fit_seconds
+        return estimate
     raise RedrawBudgetError(
         f"subset {k}: no usable subset in {config.max_redraws + 1} attempts "
         f"({'; '.join(reasons)})"
     )
 
 
-def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
-    """Full subset-bootstrap run over ``config.subsets`` subsets.
+def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetEstimate]:
+    """Yield the estimate of each subset k = 0, 1, ..., s-1 in order.
 
-    Aggregation follows the plain unweighted-mean scheme: the point
-    estimate is the mean of per-subset bootstrap means, the standard
-    error the mean of per-subset bootstrap SDs, and each interval bound
-    the mean of the per-subset bounds.  The result is a pure function of
-    (table, config), independent of thread count.
+    This is the one subset pipeline.  It validates ``config`` and
+    resolves the subset size and any external scores once; each subset
+    is then drawn, fitted, truncated, ordered, checked against the weight
+    cap and (optionally) the balance threshold, redrawn on failure, and
+    resampled.  With ``config.threads > 1`` the subsets run on a thread
+    pool whose ordered map keeps the output independent of scheduling.
+    Closing the generator early cancels subsets not yet started.
     """
     config.validate()
-    start = time.perf_counter()
     if table.n0 == 0 or table.n1 == 0:
         raise EstimationError("table must contain both treatment arms")
     if config.subset_size is not None:
@@ -365,19 +338,29 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
     if config.estimator == "external":
         external = load_external_scores(config.external_scores, table.n)
 
-    def job(k: int) -> tuple[SubsetEstimate, dict]:
+    def job(k: int) -> SubsetEstimate:
         return _run_one_subset(table, config, k, b, external)
 
     ks = range(config.subsets)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, ks))
+            yield from pool.map(job, ks)
     else:
-        results = [job(k) for k in ks]
+        yield from map(job, ks)
 
-    estimates = [est for est, _ in results]
-    fit_seconds = sum(t["fit_seconds"] for _, t in results)
-    resample_seconds = sum(t["resample_seconds"] for _, t in results)
+
+def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
+    """Full subset-bootstrap run: a fold over ``iter_subsets``.
+
+    Aggregation follows the plain unweighted-mean scheme: the point
+    estimate is the mean of per-subset bootstrap means, the standard
+    error the mean of per-subset bootstrap SDs, and each interval bound
+    the mean of the per-subset bounds.  The result is a pure function of
+    (table, config), independent of thread count.
+    """
+    start = time.perf_counter()
+    estimates = list(iter_subsets(table, config))
+    b = estimates[0].b0 + estimates[0].b1  # every subset has size b
 
     tau_hat = float(np.mean([e.mean for e in estimates]))
     se = float(np.mean([e.se for e in estimates]))
@@ -409,8 +392,8 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
         ),
     }
     timings = {
-        "fit_seconds": fit_seconds,
-        "resample_seconds": resample_seconds,
+        "fit_seconds": sum(e.fit_seconds for e in estimates),
+        "resample_seconds": sum(e.resample_seconds for e in estimates),
         "total_seconds": time.perf_counter() - start,
     }
     return BlbEstimate(

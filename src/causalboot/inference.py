@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import EstimationError
 from .propensity import ArmWeights
@@ -67,7 +67,7 @@ def asymptotic_ci(hajek: float, se: float, alpha: float) -> ConfidenceInterval:
         raise EstimationError(f"standard error must be nonnegative, got {se}")
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     return ConfidenceInterval(hajek - z * se, hajek + z * se, kind="asymptotic", alpha=alpha)
 
 

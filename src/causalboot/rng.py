@@ -20,7 +20,6 @@ DOMAIN_REPLICATE = 2     # replicate count draws: (DOMAIN_REPLICATE, k, attempt)
 DOMAIN_DATASET = 3       # simulated datasets: (DOMAIN_DATASET, i)
 DOMAIN_ORACLE = 4        # oracle-CI datasets: (DOMAIN_ORACLE, i)
 DOMAIN_RUNSEED = 5       # derived integer seeds for nested runs
-DOMAIN_RELERR = 6        # relative-error harness subsets
 DOMAIN_BENCH = 7         # benchmark datasets and runs
 
 

@@ -1,5 +1,9 @@
 """Simulation studies: synthetic data generation, bias/coverage
 replications, relative-error trajectories, and timing benchmarks.
+
+All studies run the engine's own code: replications and timing runs call
+``run_blb``, the relative-error study folds ``iter_subsets`` subset by
+subset, and the fit-only timing grid calls the engine's fit dispatcher.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from scipy.special import expit
 
 from . import rng
 from .config import BlbConfig, DEFAULT_TRUNCATION
-from .data import ObservationTable, draw_subset, subset_size
-from .engine import BlbEstimate, order_subset, run_blb, run_subset
+from .data import ObservationTable
+from .engine import _fit_scores, iter_subsets, order_subset, run_blb
 from .errors import ConfigError, EstimationError
 from .inference import hajek_ipw, percentile_ci
 from .propensity import fit_logistic_irls, truncate_scores
@@ -27,9 +31,10 @@ TRUE_ATE = 2.0
 class DgmSample:
     """Synthetic dataset with its hidden truth retained.
 
-    Two standard-normal confounders; treatment assigned with probability
-    inverse-logit(-0.5*x1 - 0.5*x2); outcome y = x1 + x2 + eps + 2*w.
-    The per-unit effect is exactly 2.
+    ``p`` standard-normal confounders (two by default); treatment
+    assigned with probability inverse-logit(c*x1 + ... + c*xp), c =
+    -0.5*sqrt(2/p), or 0.5 in the randomized variant; outcome
+    y = x1 + ... + xp + eps + 2*w.  The per-unit effect is exactly 2.
     """
 
     table: ObservationTable
@@ -39,54 +44,38 @@ class DgmSample:
     tau: float = TRUE_ATE
 
 
-def generate_dgm(n: int, stream: np.random.Generator) -> DgmSample:
-    """One draw of the two-covariate confounded benchmark process."""
-    if n < 2:
-        raise ConfigError(f"n must be at least 2, got {n}")
-    x = stream.standard_normal((n, 2))
-    pi = expit(-0.5 * x[:, 0] - 0.5 * x[:, 1])
-    w = (stream.random(n) < pi).astype(np.int64)
-    eps = stream.standard_normal(n)
-    y0 = x[:, 0] + x[:, 1] + eps
-    y1 = y0 + TRUE_ATE
-    y = np.where(w == 1, y1, y0)
-    table = ObservationTable(y=y, w=w, x=x, covariate_names=("x1", "x2"))
-    return DgmSample(table=table, true_propensity=pi, y0=y0, y1=y1)
+def generate_dgm(
+    n: int, stream: np.random.Generator, p: int = 2, randomized: bool = False
+) -> DgmSample:
+    """One draw of the confounded benchmark process.
 
-
-def generate_randomized_dgm(n: int, stream: np.random.Generator) -> DgmSample:
-    """Experimental variant: same outcome model, W ~ Bernoulli(0.5)
-    independent of the covariates.  Used to exercise the marginal
-    estimator in the setting it is meant for.
+    The assignment coefficient -0.5*sqrt(2/p) keeps the variance of the
+    linear predictor at that of the two-covariate process for any p.
+    ``randomized`` assigns W ~ Bernoulli(0.5) independent of the
+    covariates, the setting the marginal estimator is meant for.  The
+    stream is consumed in the same order either way.
     """
     if n < 2:
         raise ConfigError(f"n must be at least 2, got {n}")
-    x = stream.standard_normal((n, 2))
-    pi = np.full(n, 0.5)
+    if p < 1:
+        raise ConfigError(f"p must be at least 1, got {p}")
+    x = stream.standard_normal((n, p))
+    if randomized:
+        pi = np.full(n, 0.5)
+    else:
+        pi = expit(x @ np.full(p, -0.5 * np.sqrt(2.0 / p)))
     w = (stream.random(n) < pi).astype(np.int64)
     eps = stream.standard_normal(n)
-    y0 = x[:, 0] + x[:, 1] + eps
+    y0 = x.sum(axis=1) + eps
     y1 = y0 + TRUE_ATE
     y = np.where(w == 1, y1, y0)
-    table = ObservationTable(y=y, w=w, x=x, covariate_names=("x1", "x2"))
+    table = ObservationTable(y=y, w=w, x=x)
     return DgmSample(table=table, true_propensity=pi, y0=y0, y1=y1)
 
 
 def generate_wide_dgm(n: int, p: int, stream: np.random.Generator) -> ObservationTable:
-    """Benchmark-grid generator with ``p`` confounders.
-
-    Assignment coefficients scale as -0.5*sqrt(2/p) so the linear
-    predictor keeps the variance of the two-covariate process for any p.
-    """
-    if p < 1:
-        raise ConfigError(f"p must be at least 1, got {p}")
-    x = stream.standard_normal((n, p))
-    coef = -0.5 * np.sqrt(2.0 / p)
-    pi = expit(x @ np.full(p, coef))
-    w = (stream.random(n) < pi).astype(np.int64)
-    eps = stream.standard_normal(n)
-    y = x.sum(axis=1) + eps + TRUE_ATE * w
-    return ObservationTable(y=y, w=w, x=x)
+    """The table of ``generate_dgm`` with ``p`` confounders."""
+    return generate_dgm(n, stream, p).table
 
 
 @dataclass
@@ -157,10 +146,11 @@ def run_replications(
     if R < 10:
         raise ConfigError(f"replications must be at least 10, got {R}")
     config.validate()
-    generator = generate_randomized_dgm if randomized else generate_dgm
 
     def one(i: int) -> ReplicationRecord:
-        sample = generator(n, rng.substream(seed, rng.DOMAIN_DATASET, i))
+        sample = generate_dgm(
+            n, rng.substream(seed, rng.DOMAIN_DATASET, i), randomized=randomized
+        )
         cfg = dataclasses.replace(config, seed=rng.derive_seed(seed, i), threads=1)
         t0 = time.perf_counter()
         result = run_blb(sample.table, cfg)
@@ -264,17 +254,25 @@ def run_relerr_harness(
 ) -> list[RelErrTrajectory]:
     """Relative-error trajectories versus the full-data oracle interval.
 
-    For each gamma, subsets are processed one at a time; after subset s
-    the running interval is the mean of the per-subset percentile bounds
+    For each gamma and dataset this is a running fold over
+    ``iter_subsets``, the pipeline ``run_blb`` uses: after subset s the
+    running interval is the mean of the per-subset percentile bounds
     seen so far, and its relative error against the oracle interval is
-    recorded together with cumulative processing time.  Trajectories are
+    recorded together with cumulative processing time.  The weight cap
+    is off (1.0) because the oracle interval has none.  Trajectories are
     averaged over ``data_reps`` independent datasets shared across
-    gammas.
+    gammas.  Every gamma's configuration is validated before the oracle
+    is computed.
     """
     if data_reps < 1:
         raise ConfigError("data_reps must be at least 1")
-    if s_max < 1:
-        raise ConfigError("s_max must be at least 1")
+    configs = [
+        BlbConfig(
+            gamma=gamma, subsets=s_max, replicates=r, alpha=alpha,
+            truncation=truncation, weight_cap=1.0,
+        ).validate()
+        for gamma in gammas
+    ]
     oracle = oracle_interval(n, oracle_reps, seed, alpha=alpha, truncation=truncation)
 
     tables = [
@@ -283,32 +281,23 @@ def run_relerr_harness(
     ]
 
     out: list[RelErrTrajectory] = []
-    for gi, gamma in enumerate(gammas):
-        b = subset_size(n, gamma)
+    for gi, config in enumerate(configs):
         err_acc = np.zeros(s_max)
         time_acc = np.zeros(s_max)
         for d, table in enumerate(tables):
             q_lo: list[float] = []
             q_up: list[float] = []
-            elapsed = 0.0
-            for k in range(s_max):
-                t0 = time.perf_counter()
-                stream = rng.substream(seed, rng.DOMAIN_RELERR, gi, d, k)
-                indices = draw_subset(table, b, stream)
-                fit = fit_logistic_irls(table.x[indices], table.w[indices])
-                fit = truncate_scores(fit, *truncation)
-                sf = order_subset(table, indices, fit, subset_id=k)
-                rep_stream = rng.substream(seed, rng.DOMAIN_RELERR, gi, d, k, 1)
-                est = run_subset(sf, r, table.n0, table.n1, alpha, rep_stream)
-                elapsed += time.perf_counter() - t0
+            cfg = dataclasses.replace(config, seed=rng.derive_seed(seed, gi, d))
+            t0 = time.perf_counter()
+            for k, est in enumerate(iter_subsets(table, cfg)):
+                time_acc[k] += time.perf_counter() - t0
                 q_lo.append(est.q_lower)
                 q_up.append(est.q_upper)
                 running = (float(np.mean(q_lo)), float(np.mean(q_up)))
                 err_acc[k] += relative_error(oracle, running)
-                time_acc[k] += elapsed
         out.append(
             RelErrTrajectory(
-                gamma=gamma,
+                gamma=config.gamma,
                 subset_counts=list(range(1, s_max + 1)),
                 cum_seconds=list(time_acc / data_reps),
                 err=list(err_acc / data_reps),
@@ -351,6 +340,9 @@ def benchmark_timing(
     """
     if reps < 1:
         raise ConfigError(f"reps must be at least 1, got {reps}")
+    for s in s_values:
+        if s < 1:
+            raise ConfigError(f"subset count must be at least 1, got {s}")
     ps = grid_ps if (grid and grid_ps) else [p]
     cells: list[TimingCell] = []
     for n_index, n in enumerate(ns):
@@ -366,11 +358,13 @@ def benchmark_timing(
                                 b, p_val, rng.substream(seed, rng.DOMAIN_BENCH, n_index, p_index, s)
                             )
                         table = datasets[key]
+                        cfg = BlbConfig(estimator=method).validate()
+                        rows = np.arange(table.n)
                         seconds = []
                         for rep in range(reps):
                             t0 = time.perf_counter()
                             for k in range(s):
-                                fit_one(table, method)
+                                _fit_scores(table, rows, cfg, None)
                             seconds.append(time.perf_counter() - t0)
                     else:
                         key = (n, p_val)
@@ -396,16 +390,3 @@ def benchmark_timing(
                         TimingCell(n=n, p=p_val, method=method, s=s, seconds=seconds)
                     )
     return cells
-
-
-def fit_one(table: ObservationTable, method: str):
-    """Single propensity fit on a whole table (benchmark helper)."""
-    from .propensity import fit_cbps, marginal_propensity
-
-    if method == "logistic":
-        return fit_logistic_irls(table.x, table.w)
-    if method == "cbps":
-        return fit_cbps(table.x, table.w)
-    if method == "marginal":
-        return marginal_propensity(table.w)
-    raise ConfigError(f"unknown benchmark method {method!r}")

@@ -72,6 +72,18 @@ def weighted_arm_means(y, w, pi):
     return num1 / den1, num0 / den0
 
 
+def replicate_estimate_longhand(m0, m1, y0, y1, n0, n1):
+    """One replicate's estimate from its count vectors, summed in loops:
+    (1/n1) * sum_i m1_i * y1_i - (1/n0) * sum_i m0_i * y0_i."""
+    treated = 0.0
+    for count, value in zip(m1, y1):
+        treated += float(count) * float(value)
+    control = 0.0
+    for count, value in zip(m0, y0):
+        control += float(count) * float(value)
+    return treated / n1 - control / n0
+
+
 def logistic_fisher_se(x_design, scores):
     """Asymptotic coefficient SEs from the Fisher information."""
     lam = scores * (1.0 - scores)

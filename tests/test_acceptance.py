@@ -18,7 +18,7 @@ import pytest
 import causalboot as cb
 from causalboot import rng as cbrng
 from causalboot.cli import main
-from causalboot.engine import draw_multinomial, order_subset, replicate_estimate, run_subset
+from causalboot.engine import order_subset, run_subset
 from causalboot.propensity import fit_logistic_irls, truncate_scores
 from causalboot.simulation import (
     benchmark_timing,
@@ -28,6 +28,7 @@ from causalboot.simulation import (
 )
 
 from test_cli import export_dgm_csv
+from test_engine import count_readout_fit, draws_of, make_subsetfit
 
 THREADS = 2  # worker threads for the replication studies
 
@@ -146,7 +147,10 @@ def test_replicate_mean_matches_subset_estimate():
 
 
 # ---------------------------------------------------------------------
-# 4. Estimator algebra on 1000 randomized cases per property.
+# 4. Estimator algebra on 1000 randomized cases per property, checked on
+#    the draws of the replicate kernel run_subset (r=3) over hand-built
+#    subsets.  Case i draws its counts from replicate substream i+1, so
+#    every variant of a case sees the same count vectors.
 # ---------------------------------------------------------------------
 
 def _random_case(stream):
@@ -158,57 +162,53 @@ def _random_case(stream):
     w1 = stream.dirichlet(np.ones(b1))
     n0 = int(stream.integers(b0, 101))
     n1 = int(stream.integers(b1, 101))
-    m0 = draw_multinomial(w0, n0, stream)
-    m1 = draw_multinomial(w1, n1, stream)
-    return y0, y1, n0, n1, m0, m1
-
-
-def _estimate(m0, m1, y0, y1, n0, n1):
-    return float((m1 @ y1) / n1 - (m0 @ y0) / n0)
+    return y0, y1, w0, w1, n0, n1
 
 
 def test_multinomial_sum_invariants():
+    # each arm's counts sum to its full-data size exactly when its
+    # count-readout draws are exactly +1.0 (treated) and -1.0 (control)
     stream = cbrng.substream(4004, 2, 0, 0)
-    for _ in range(1000):
-        _, _, n0, n1, m0, m1 = _random_case(stream)
-        assert int(m0.sum()) == n0
-        assert int(m1.sum()) == n1
-        assert int(np.concatenate([m0, m1]).sum()) == n0 + n1
+    for i in range(1000):
+        _, _, w0, w1, n0, n1 = _random_case(stream)
+        assert (draws_of(count_readout_fit(w0, w1, 1), n0, n1, 4004, i + 1) == 1.0).all()
+        assert (draws_of(count_readout_fit(w0, w1, 0), n0, n1, 4004, i + 1) == -1.0).all()
     report(4, "count-vector sums", True, "1000/1000 cases exact")
 
 
 def test_shift_invariance():
     stream = cbrng.substream(4005, 2, 0, 0)
     worst = 0.0
-    for _ in range(1000):
-        y0, y1, n0, n1, m0, m1 = _random_case(stream)
+    for i in range(1000):
+        y0, y1, w0, w1, n0, n1 = _random_case(stream)
         c = float(stream.uniform(-10.0, 10.0))
-        base = _estimate(m0, m1, y0, y1, n0, n1)
-        shifted = _estimate(m0, m1, y0 + c, y1 + c, n0, n1)
-        worst = max(worst, abs(shifted - base))
+        base = draws_of(make_subsetfit(y0, y1, w0, w1), n0, n1, 4005, i + 1)
+        shifted = draws_of(make_subsetfit(y0 + c, y1 + c, w0, w1), n0, n1, 4005, i + 1)
+        worst = max(worst, float(np.abs(shifted - base).max()))
     report(4, "shift invariance", worst <= 1e-12, f"max |delta| = {worst:.2e}")
 
 
 def test_scale_equivariance():
     stream = cbrng.substream(4006, 2, 0, 0)
     worst = 0.0
-    for _ in range(1000):
-        y0, y1, n0, n1, m0, m1 = _random_case(stream)
+    for i in range(1000):
+        y0, y1, w0, w1, n0, n1 = _random_case(stream)
         lam = float(stream.uniform(-4.0, 4.0))
-        base = _estimate(m0, m1, y0, y1, n0, n1)
-        scaled = _estimate(m0, m1, lam * y0, lam * y1, n0, n1)
-        worst = max(worst, abs(scaled - lam * base) / max(1.0, abs(lam * base)))
+        base = draws_of(make_subsetfit(y0, y1, w0, w1), n0, n1, 4006, i + 1)
+        scaled = draws_of(make_subsetfit(lam * y0, lam * y1, w0, w1), n0, n1, 4006, i + 1)
+        rel = np.abs(scaled - lam * base) / np.maximum(1.0, np.abs(lam * base))
+        worst = max(worst, float(rel.max()))
     report(4, "scale equivariance", worst <= 1e-12, f"max rel delta = {worst:.2e}")
 
 
 def test_constant_outcome_is_zero():
     stream = cbrng.substream(4007, 2, 0, 0)
     worst = 0.0
-    for _ in range(1000):
-        y0, y1, n0, n1, m0, m1 = _random_case(stream)
+    for i in range(1000):
+        y0, y1, w0, w1, n0, n1 = _random_case(stream)
         c = float(stream.uniform(-10.0, 10.0))
-        est = _estimate(m0, m1, np.full_like(y0, c), np.full_like(y1, c), n0, n1)
-        worst = max(worst, abs(est))
+        sf = make_subsetfit(np.full_like(y0, c), np.full_like(y1, c), w0, w1)
+        worst = max(worst, float(np.abs(draws_of(sf, n0, n1, 4007, i + 1)).max()))
     report(4, "constant outcome", worst <= 1e-12, f"max |estimate| = {worst:.2e}")
 
 

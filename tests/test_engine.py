@@ -7,18 +7,12 @@ from hypothesis import strategies as st
 
 import causalboot as cb
 from causalboot import rng as cbrng
-from causalboot.engine import (
-    SubsetFit,
-    _estimate_from_counts,
-    draw_multinomial,
-    order_subset,
-    replicate_estimate,
-    run_blb,
-    run_subset,
-)
+from causalboot.engine import SubsetFit, order_subset, run_blb, run_subset
 from causalboot.errors import DegenerateSubsetError, EstimationError, RedrawBudgetError
 from causalboot.propensity import ArmWeights, PropensityFit, fit_logistic_irls, normalized_weights, truncate_scores
 from causalboot.simulation import generate_dgm
+
+from oracles import replicate_estimate_longhand
 
 
 def constant_fit(scores):
@@ -47,6 +41,19 @@ def make_subsetfit(y0, y1, w0=None, w1=None):
         weights=ArmWeights(w0=w0, w1=w1),
         fit=constant_fit(np.full(b0 + b1, 0.5)),
     )
+
+
+def count_readout_fit(w0, w1, arm):
+    """SubsetFit whose replicate draws read one arm's count sum.
+
+    ``arm``'s outcomes are ones and the other arm's zeros, so each draw
+    is exactly +1.0 (treated) or -1.0 (control) when that arm's counts
+    sum to its full-data size, and something else when they do not.
+    """
+    b0, b1 = len(w0), len(w1)
+    if arm == 1:
+        return make_subsetfit(np.zeros(b0), np.ones(b1), w0, w1)
+    return make_subsetfit(np.ones(b0), np.zeros(b1), w0, w1)
 
 
 class TestOrderSubset:
@@ -80,58 +87,53 @@ class TestOrderSubset:
 
 
 class TestDrawMultinomial:
-    def test_degenerate_single_cell(self):
-        out = draw_multinomial(np.array([1.0]), 7, cbrng.substream(0, 2, 0, 0))
-        assert list(out) == [7]
+    """The kernel's multinomial draws, seen through run_subset's draws."""
 
-    def test_size_zero_gives_zero_vector(self):
-        out = draw_multinomial(np.array([0.5, 0.5]), 0, cbrng.substream(0, 2, 0, 0))
-        assert list(out) == [0, 0]
+    def test_degenerate_single_cell(self):
+        # one cell per arm forces the counts to (n1,) and (n0,)
+        sf = make_subsetfit([0.0], [1.0])
+        est = run_subset(sf, 5, 3, 7, 0.05, cbrng.substream(0, 2, 0, 0))
+        assert list(est.draws) == [1.0] * 5
 
     def test_sum_equals_size(self):
+        # a 40-cell arm drawn at each size, against a 7-cell other arm
         stream = cbrng.substream(3, 2, 0, 0)
-        probs = stream.dirichlet(np.ones(40))
+        wide = stream.dirichlet(np.ones(40))
+        narrow = stream.dirichlet(np.ones(7))
         for size in (1, 13, 999):
-            assert draw_multinomial(probs, size, stream).sum() == size
+            treated = run_subset(count_readout_fit(narrow, wide, 1), 3, 5, size, 0.05, stream)
+            assert list(treated.draws) == [1.0] * 3
+            control = run_subset(count_readout_fit(wide, narrow, 0), 3, size, 5, 0.05, stream)
+            assert list(control.draws) == [-1.0] * 3
 
     def test_binomial_margin_within_five_sigma(self):
-        # first cell of (0.5, 0.5) at size 10000: sd = 50
-        out = draw_multinomial(
-            np.array([0.5, 0.5]), 10000, cbrng.substream(17, 2, 0, 0)
-        )
-        assert abs(out[0] - 5000) < 5 * 50
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(EstimationError, match="nonnegative"):
-            draw_multinomial(np.array([-0.1, 1.1]), 5, cbrng.substream(0, 2, 0, 0))
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(EstimationError, match="sum"):
-            draw_multinomial(np.array([0.4, 0.4]), 5, cbrng.substream(0, 2, 0, 0))
+        # first treated cell of (0.5, 0.5) at size 10000: sd = 50; the
+        # draw is that cell's count over 10000
+        sf = make_subsetfit([0.0], [1.0, 0.0], w1=[0.5, 0.5])
+        est = run_subset(sf, 2, 10, 10000, 0.05, cbrng.substream(17, 2, 0, 0))
+        for draw in est.draws:
+            assert abs(draw * 10000 - 5000) < 5 * 50
 
     def test_deterministic_given_stream(self):
-        probs = np.array([0.25, 0.25, 0.5])
-        a = draw_multinomial(probs, 100, cbrng.substream(23, 2, 1, 0))
-        b = draw_multinomial(probs, 100, cbrng.substream(23, 2, 1, 0))
-        assert np.array_equal(a, b)
+        sf = make_subsetfit([0.5, 1.5], [1.0, 2.0, 3.0], w1=[0.25, 0.25, 0.5])
+        a = run_subset(sf, 20, 100, 100, 0.05, cbrng.substream(23, 2, 1, 0))
+        b = run_subset(sf, 20, 100, 100, 0.05, cbrng.substream(23, 2, 1, 0))
+        c = run_subset(sf, 20, 100, 100, 0.05, cbrng.substream(23, 2, 2, 0))
+        assert np.array_equal(a.draws, b.draws)
+        assert not np.array_equal(a.draws, c.draws)
 
 
 class TestReplicateEstimate:
     def test_two_unit_subset_is_deterministic(self):
         sf = make_subsetfit([1.0], [3.0])
         # singleton multinomials are forced to (n0,) and (n1,)
-        m = np.array([11, 29])
-        assert replicate_estimate(m, sf, 11, 29) == pytest.approx(2.0)
+        est = run_subset(sf, 4, 11, 29, 0.05, cbrng.substream(0, 2, 0, 0))
+        assert list(est.draws) == [2.0] * 4
 
     def test_constant_outcome_cancels(self):
         sf = make_subsetfit([4.0, 4.0, 4.0], [4.0, 4.0])
-        m = np.array([2, 5, 3, 6, 4])  # control sums 10, treated 10
-        assert replicate_estimate(m, sf, 10, 10) == pytest.approx(0.0, abs=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        sf = make_subsetfit([1.0], [3.0])
-        with pytest.raises(EstimationError):
-            replicate_estimate(np.array([1, 2, 3]), sf, 1, 5)
+        est = run_subset(sf, 20, 10, 10, 0.05, cbrng.substream(1, 2, 0, 0))
+        np.testing.assert_allclose(est.draws, 0.0, rtol=0, atol=1e-12)
 
     def test_expectation_matches_hajek_estimate(self):
         # mean replicate estimate converges to the whole-subset weighted
@@ -162,24 +164,27 @@ def subset_cases(draw):
     return y0, y1, n0, n1, seed
 
 
+def draws_of(sf, n0, n1, seed, k):
+    """run_subset's draws (r=3) from the replicate substream (seed, k)."""
+    return run_subset(sf, 3, n0, n1, 0.05, cbrng.substream(seed, 2, k, 0)).draws
+
+
 class TestEstimatorAlgebra:
     @given(subset_cases())
     @settings(max_examples=150, deadline=None)
     def test_count_sums_and_shift_scale(self, case):
         y0, y1, n0, n1, seed = case
         sf = make_subsetfit(y0, y1)
-        stream = cbrng.substream(seed, 2, 0, 0)
-        m1 = draw_multinomial(sf.weights.w1, n1, stream)
-        m0 = draw_multinomial(sf.weights.w0, n0, stream)
-        assert m1.sum() == n1 and m0.sum() == n0
-        m = np.concatenate([m0, m1])
-        assert m.sum() == n0 + n1
+        w0, w1 = sf.weights.w0, sf.weights.w1
+        # same key, so every call below sees the same count vectors
+        assert list(draws_of(count_readout_fit(w0, w1, 1), n0, n1, seed, 0)) == [1.0] * 3
+        assert list(draws_of(count_readout_fit(w0, w1, 0), n0, n1, seed, 0)) == [-1.0] * 3
 
-        base = replicate_estimate(m, sf, n0, n1)
+        base = draws_of(sf, n0, n1, seed, 0)
         shifted = make_subsetfit(np.asarray(y0) + 5.5, np.asarray(y1) + 5.5)
-        assert replicate_estimate(m, shifted, n0, n1) == pytest.approx(base, abs=1e-12)
+        np.testing.assert_allclose(draws_of(shifted, n0, n1, seed, 0), base, rtol=0, atol=1e-12)
         scaled = make_subsetfit(np.asarray(y0) * -3.0, np.asarray(y1) * -3.0)
-        assert replicate_estimate(m, scaled, n0, n1) == pytest.approx(
+        assert draws_of(scaled, n0, n1, seed, 0) == pytest.approx(
             -3.0 * base, abs=1e-10, rel=1e-10
         )
 
@@ -187,14 +192,10 @@ class TestEstimatorAlgebra:
     @settings(max_examples=150, deadline=None)
     def test_estimate_within_attainable_range(self, case):
         y0, y1, n0, n1, seed = case
-        sf = make_subsetfit(y0, y1)
-        stream = cbrng.substream(seed, 2, 1, 0)
-        m1 = draw_multinomial(sf.weights.w1, n1, stream)
-        m0 = draw_multinomial(sf.weights.w0, n0, stream)
-        est = replicate_estimate(np.concatenate([m0, m1]), sf, n0, n1)
+        draws = draws_of(make_subsetfit(y0, y1), n0, n1, seed, 1)
         lo = min(y1) - max(y0)
         hi = max(y1) - min(y0)
-        assert lo - 1e-12 <= est <= hi + 1e-12
+        assert (lo - 1e-12 <= draws).all() and (draws <= hi + 1e-12).all()
 
 
 class TestRunSubset:
@@ -229,10 +230,44 @@ class TestRunSubset:
                 failures += 1
         assert failures <= 1
 
+    def test_draws_match_longhand_on_redrawn_counts(self):
+        # Pins the stream layout: from the subset's replicate stream, all
+        # r treated count vectors are drawn first, then all r control ones.
+        r = 25
+        for case in range(20):
+            stream = cbrng.substream(31, 2, case, 0)
+            b0, b1 = (int(v) for v in stream.integers(1, 9, size=2))
+            y0 = stream.uniform(-10.0, 10.0, size=b0)
+            y1 = stream.uniform(-10.0, 10.0, size=b1)
+            n0, n1 = (int(v) for v in stream.integers(10, 200, size=2))
+            sf = make_subsetfit(
+                y0, y1, stream.dirichlet(np.ones(b0)), stream.dirichlet(np.ones(b1))
+            )
+            est = run_subset(sf, r, n0, n1, 0.05, cbrng.substream(31, 2, case, 1))
+            redraw = cbrng.substream(31, 2, case, 1)
+            m1 = redraw.multinomial(n1, sf.weights.w1, size=r)
+            m0 = redraw.multinomial(n0, sf.weights.w0, size=r)
+            expected = [
+                replicate_estimate_longhand(m0[j], m1[j], y0, y1, n0, n1) for j in range(r)
+            ]
+            np.testing.assert_allclose(est.draws, expected, rtol=0, atol=1e-12)
+
     def test_replicate_minimum(self):
         sf = make_subsetfit([1.0], [2.0])
         with pytest.raises(EstimationError):
             run_subset(sf, 1, 5, 5, 0.05, cbrng.substream(0, 2, 0, 0))
+
+
+class TestIterSubsets:
+    def test_yields_run_blb_subsets_in_order_and_closes_early(self, dgm_table):
+        cfg = cb.BlbConfig(gamma=0.7, subsets=6, replicates=50, seed=11)
+        full = run_blb(dgm_table, cfg).subsets
+        stream = cb.iter_subsets(dgm_table, dataclasses.replace(cfg, threads=4))
+        first = [next(stream), next(stream)]
+        stream.close()
+        for got, want in zip(first, full):
+            assert got.subset_id == want.subset_id
+            assert np.array_equal(got.draws, want.draws)
 
 
 class TestRunBlb:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalboot
 from causalboot import (
     EstimationError,
     asymptotic_ci,
@@ -85,6 +91,17 @@ class TestAsymptoticCi:
     def test_negative_se_rejected(self):
         with pytest.raises(EstimationError):
             asymptotic_ci(0.0, -1.0, 0.05)
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second of start-up; the normal
+        # quantile comes from scipy.special instead
+        src = str(Path(causalboot.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, causalboot; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestHajek:

@@ -4,12 +4,12 @@ from scipy.special import expit
 
 import causalboot as cb
 from causalboot import rng as cbrng
+from causalboot import simulation
 from causalboot.errors import ConfigError, EstimationError
 from causalboot.simulation import (
     RelErrTrajectory,
     benchmark_timing,
     generate_dgm,
-    generate_randomized_dgm,
     generate_wide_dgm,
     oracle_interval,
     relative_error,
@@ -60,7 +60,7 @@ class TestGenerateDgm:
         np.testing.assert_array_equal(a.table.w, b.table.w)
 
     def test_randomized_variant_has_flat_propensity(self):
-        sample = generate_randomized_dgm(50000, cbrng.substream(5, cbrng.DOMAIN_DATASET, 0))
+        sample = generate_dgm(50000, cbrng.substream(5, cbrng.DOMAIN_DATASET, 0), randomized=True)
         np.testing.assert_array_equal(sample.true_propensity, 0.5)
         np.testing.assert_allclose(sample.y1 - sample.y0, 2.0, rtol=0, atol=1e-12)
 
@@ -163,6 +163,17 @@ class TestRelErrHarness:
         lo, up = trajectories[0].oracle_ci
         assert 1.5 < lo < 2.0 < up < 2.5
 
+    def test_configs_validated_before_oracle(self, monkeypatch):
+        def oracle_not_reached(*args, **kwargs):
+            raise AssertionError("oracle interval computed before validation")
+
+        monkeypatch.setattr(simulation, "oracle_interval", oracle_not_reached)
+        args = dict(n=800, oracle_reps=100, data_reps=1, seed=0)
+        with pytest.raises(ConfigError):
+            run_relerr_harness(gammas=[0.5, 1.5], r=40, **args)
+        with pytest.raises(ConfigError):
+            run_relerr_harness(gammas=[0.5], r=1, **args)
+
 
 class TestOracleInterval:
     def test_brackets_truth_tightly(self):
@@ -193,3 +204,7 @@ class TestBenchmarkTiming:
     def test_reps_validated(self):
         with pytest.raises(ConfigError):
             benchmark_timing([1000], ["logistic"], [2], p=2, reps=0, seed=0)
+
+    def test_subset_counts_validated(self):
+        with pytest.raises(ConfigError):
+            benchmark_timing([1000], ["logistic"], [2, 0], p=2, reps=1, seed=0)
