@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +99,127 @@ def _parse_cell(raw: str, col: str, row: int, na_policy: str) -> float | None:
         ) from None
 
 
+# Characters of whole lines handed to one vectorized parse: enough to
+# amortize its setup, few enough that redoing a block row by row is cheap.
+_BLOCK_CHARS = 1 << 20
+
+
+def _parse_fast(lines: list[str], cols: list[int]) -> np.ndarray | None:
+    """Parse the used columns of one block of lines in one vectorized pass.
+
+    Returns a rows-by-len(cols) array, or None whenever the row parser
+    must decide: a cell ``np.loadtxt`` cannot convert, a non-finite value
+    (``nan`` is an NA token there), a treatment value other than 0 or 1,
+    or a quote the strict csv reader rejects, such as a quoted field still
+    open at the block's end (``loadtxt`` would close it there).  On every
+    block it accepts, the two parsers read the same records, and
+    ``loadtxt`` converts text to doubles with ``float``'s own routine, so
+    the values are bit-identical to the row parser's.
+    """
+    text = "".join(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
+        try:
+            # comments=None: with the default "#", a "#" in a cell would
+            # silently cut its row short.
+            data = np.loadtxt(
+                io.StringIO(text), delimiter=",", usecols=cols,
+                dtype=np.float64, comments=None, quotechar='"', ndmin=2,
+            )
+        except ValueError:
+            return None
+    w = data[:, 1]
+    if not np.isfinite(data).all() or not ((w == 0.0) | (w == 1.0)).all():
+        return None
+    if '"' in text:
+        try:
+            for _ in csv.reader(lines, strict=True):
+                pass
+        except csv.Error:
+            return None
+    return data
+
+
+def _parse_record(record: list[str], used: list[str], cols: list[int],
+                  row: int, na_policy: str) -> list[float] | None:
+    """The used cells of one record; None marks a row to drop."""
+    try:  # a record of plain numbers: float strips them as _parse_cell does
+        vals = [float(record[j]) for j in cols]
+        if not any(map(math.isnan, vals)):  # nan is an NA token
+            return vals
+    except (ValueError, IndexError):
+        pass
+    vals = []
+    for col, j in zip(used, cols):
+        # A cell a short record lacks is missing, as csv.DictReader has it.
+        val = _parse_cell(record[j] if j < len(record) else None, col, row, na_policy)
+        if val is None:
+            return None
+        vals.append(val)
+    return vals
+
+
+def _parse_rows(lines, stop: int, used: list[str], cols: list[int],
+                first_row: int, na_policy: str):
+    """Parse records one at a time until ``stop`` lines are read and the
+    last record has ended.
+
+    Returns (rows-by-len(cols) array, records read, rows dropped).  Data
+    rows are numbered on from ``first_row``, blank lines skipped, as
+    ``csv.DictReader`` numbers them.
+    """
+    reader = csv.reader(lines)
+    rows: list[list[float]] = []
+    i = first_row
+    dropped = 0
+    for record in reader:
+        if record:
+            i += 1
+            row = _parse_record(record, used, cols, i, na_policy)
+            if row is None:
+                dropped += 1
+            elif row[1] not in (0.0, 1.0):
+                raise DataError(
+                    f"non-binary treatment value {row[1]!r} at data row {i}"
+                )
+            else:
+                rows.append(row)
+        if reader.line_num >= stop:
+            break
+    data = np.array(rows, dtype=np.float64).reshape(-1, len(cols))
+    return data, i - first_row, dropped
+
+
+def _parse(handle, header: list[str], used: list[str], na_policy: str):
+    """Parse the data rows block by block; returns (rows-by-used array,
+    rows dropped).
+
+    Each block of whole lines goes to the vectorized pass first; a block
+    it declines is parsed again row by row, which alone applies the NA
+    policy and words every error.  The row parser reads on past the
+    block's last line when a quoted field spans it, so every block starts
+    at a record boundary.
+    """
+    last = {name: j for j, name in enumerate(header)}  # as DictReader keys
+    cols = [last[c] for c in used]
+    blocks = []
+    rows = dropped = 0
+    while lines := handle.readlines(_BLOCK_CHARS):
+        data = _parse_fast(lines, cols)
+        if data is None:
+            data, records, skipped = _parse_rows(
+                itertools.chain(lines, handle), len(lines), used, cols, rows, na_policy
+            )
+            dropped += skipped
+        else:
+            records = data.shape[0]
+        rows += records
+        blocks.append(data)
+    if not blocks:
+        return np.empty((0, len(cols))), 0
+    return np.concatenate(blocks), dropped
+
+
 def load_csv(
     path,
     outcome_col: str,
@@ -103,61 +227,44 @@ def load_csv(
     covariate_cols: list[str],
     na_policy: str = "reject",
 ) -> ObservationTable:
-    """Load an observation table from a header-first CSV file.
+    """Load an observation table from a header-first UTF-8 CSV file.
 
     Rows with missing or unparseable cells in the used columns are
     rejected (default) or dropped and counted, per ``na_policy``.  A
     treatment value other than 0 or 1 is always an error: it indicates a
-    miscoded column, not missingness.
+    miscoded column, not missingness.  A leading byte-order mark is
+    skipped.  The used columns are parsed in blocks of lines, each in one
+    vectorized pass; a block that pass declines is parsed again row by
+    row, which alone applies the NA policy and words every error.
     """
     if na_policy not in ("reject", "drop"):
         raise ConfigError(f"na_policy must be 'reject' or 'drop', got {na_policy!r}")
     if not covariate_cols:
         raise ConfigError("at least one covariate column is required")
-
-    ys: list[float] = []
-    ws: list[int] = []
-    xs: list[list[float]] = []
-    dropped = 0
     used = [outcome_col, treatment_col, *covariate_cols]
 
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in used if c not in header]
-        if missing:
-            raise DataError(f"missing column(s) {missing} in {path}")
-        for i, record in enumerate(reader, start=1):
-            row: list[float] = []
-            bad = False
-            for col in used:
-                val = _parse_cell(record.get(col), col, i, na_policy)
-                if val is None:
-                    bad = True
-                    break
-                row.append(val)
-            if bad:
-                dropped += 1
-                continue
-            w_val = row[1]
-            if w_val not in (0.0, 1.0):
-                raise DataError(
-                    f"non-binary treatment value {w_val!r} at data row {i}"
-                )
-            ys.append(row[0])
-            ws.append(int(w_val))
-            xs.append(row[2:])
+    try:
+        with handle:
+            header = next(csv.reader(handle), [])
+            missing = [c for c in used if c not in header]
+            if missing:
+                raise DataError(f"missing column(s) {missing} in {path}")
+            data, dropped = _parse(handle, header, used, na_policy)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV {path}: {exc}") from None
 
-    if not ys:
+    if data.shape[0] == 0:
         raise DataError(f"no usable rows in {path} (dropped {dropped})")
     return ObservationTable(
-        y=np.asarray(ys),
-        w=np.asarray(ws),
-        x=np.asarray(xs),
+        y=data[:, 0],
+        w=data[:, 1].astype(np.int64),
+        x=data[:, 2:],
         covariate_names=tuple(covariate_cols),
         dropped_rows=dropped,
     )

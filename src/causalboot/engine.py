@@ -187,9 +187,11 @@ def run_subset(
         raise EstimationError(f"need at least 2 replicates, got {r}")
     w0, w1 = subsetfit.weights.w0, subsetfit.weights.w1
     y0, y1 = subsetfit.y0, subsetfit.y1
-    m1 = stream.multinomial(n1, w1, size=r)
-    m0 = stream.multinomial(n0, w0, size=r)
-    draws = (m1 @ y1) / n1 - (m0 @ y0) / n0
+    # Each arm's r x b count matrix is reduced to its totals before the
+    # next is drawn, so only one arm's counts are alive at a time.
+    t1 = stream.multinomial(n1, w1, size=r) @ y1
+    t0 = stream.multinomial(n0, w0, size=r) @ y0
+    draws = t1 / n1 - t0 / n0
     mean = float(draws.mean())
     se = float(draws.std(ddof=1))
     pct = percentile_ci(draws, alpha)

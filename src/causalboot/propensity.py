@@ -302,22 +302,28 @@ def normalized_weights(fit: PropensityFit, w: np.ndarray) -> ArmWeights:
 def load_external_scores(path, expected: int) -> PropensityFit:
     """Read externally computed scores, one real per line.
 
-    The file must hold exactly ``expected`` values, each strictly inside
-    (0, 1), aligned with the rows they score.
+    The file must be UTF-8 text (a leading byte-order mark is skipped)
+    and hold exactly ``expected`` values, each strictly inside (0, 1),
+    aligned with the rows they score.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = [ln.strip() for ln in handle]
     except OSError as exc:
         raise DataError(f"cannot read scores file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"scores file {path} is not UTF-8 text: {exc.reason}") from None
     values = []
     for i, ln in enumerate(lines, start=1):
         if not ln:
             continue
         try:
-            values.append(float(ln))
+            value = float(ln)
         except ValueError:
             raise DataError(f"non-numeric score {ln!r} at line {i} of {path}") from None
+        if not np.isfinite(value):
+            raise DataError(f"non-finite score {ln!r} at line {i} of {path}")
+        values.append(value)
     if len(values) != expected:
         raise DataError(
             f"scores file {path} has {len(values)} values, expected {expected}"

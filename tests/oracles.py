@@ -5,6 +5,7 @@ formulas, loop-based where that makes independence obvious.  Tests
 compare package output against these, never the other way around.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -95,3 +96,53 @@ def logistic_fisher_se(x_design, scores):
 # model expit(-0.5*x1 - 0.5*x2): 1e7 draws, Philox seed 987654321.
 COV_X1_W_ORACLE = -0.11251356351041067
 COV_X1_W_ORACLE_MCSE = 0.00022081784083158
+
+
+def load_csv_longhand(path, outcome, treatment, covariates, na_policy):
+    """CSV reading cell by cell through ``csv.DictReader``.
+
+    Restates ``load_csv``'s rules on text: a stripped cell that is empty
+    or ``na``/``nan``/``null`` in any case is missing, as is a cell its
+    row lacks, and so is one ``float`` rejects under ``na_policy="drop"``;
+    a missing cell drops its row (``drop``) or is an error (``reject``);
+    a treatment other than 0 or 1 is always an error.  Returns
+    (y, w, x, dropped) as lists; raises DataError worded as ``load_csv``.
+    """
+    from causalboot import DataError
+
+    used = [outcome, treatment, *covariates]
+    ys, ws, xs = [], [], []
+    dropped = 0
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        missing = [c for c in used if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataError(f"missing column(s) {missing} in {path}")
+        for i, record in enumerate(reader, start=1):
+            row = []
+            for col in used:
+                text = (record.get(col) or "").strip()
+                try:
+                    if text.lower() in ("", "na", "nan", "null"):
+                        raise DataError(f"missing value in column {col!r} at data row {i}")
+                    try:
+                        row.append(float(text))
+                    except ValueError:
+                        raise DataError(
+                            f"non-numeric value {text!r} in column {col!r} at data row {i}"
+                        ) from None
+                except DataError:
+                    if na_policy == "reject":
+                        raise
+                    break
+            if len(row) < len(used):
+                dropped += 1
+                continue
+            if row[1] not in (0.0, 1.0):
+                raise DataError(f"non-binary treatment value {row[1]!r} at data row {i}")
+            ys.append(row[0])
+            ws.append(int(row[1]))
+            xs.append(row[2:])
+    if not ys:
+        raise DataError(f"no usable rows in {path} (dropped {dropped})")
+    return ys, ws, xs, dropped

@@ -1,5 +1,11 @@
+import contextlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from causalboot import (
     ConfigError,
@@ -7,9 +13,14 @@ from causalboot import (
     ObservationTable,
     draw_subset,
     load_csv,
+    load_external_scores,
     subset_size,
 )
+from causalboot import data as cbdata
 from causalboot import rng as cbrng
+from causalboot.cli import main
+from oracles import load_csv_longhand
+from test_cli import analyze_args, export_dgm_csv
 
 
 class TestObservationTable:
@@ -183,3 +194,248 @@ class TestDrawSubset:
             draw_subset(small_table, 1, cbrng.substream(5, 1, 0, 0))
         with pytest.raises(ConfigError):
             draw_subset(small_table, small_table.n + 1, cbrng.substream(5, 1, 0, 0))
+
+
+# ---------------------------------------------------------------------
+# Vectorized ingestion: the fast path against the row parser
+# ---------------------------------------------------------------------
+
+USED = ("y", "w", ["x1", "x2"])
+
+
+def table_outcome(load):
+    """A table's arrays as bytes plus its drop count, or the DataError's
+    type and message, for ``load()``."""
+    try:
+        table = load()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return table.y.tobytes(), table.w.tobytes(), table.x.tobytes(), table.dropped_rows
+
+
+def load_outcome(path, na_policy, fast=True, block_chars=None):
+    """``load_csv``'s outcome; ``fast=False`` forces the row parser on
+    every block and ``block_chars`` sets the block size."""
+    with contextlib.ExitStack() as stack:
+        if not fast:
+            stack.enter_context(mock.patch.object(cbdata, "_parse_fast", lambda *args: None))
+        if block_chars is not None:
+            stack.enter_context(mock.patch.object(cbdata, "_BLOCK_CHARS", block_chars))
+        return table_outcome(lambda: load_csv(path, *USED, na_policy=na_policy))
+
+
+def longhand_outcome(path, na_policy):
+    """The outcome of the cell-by-cell ``csv.DictReader`` oracle."""
+    def load():
+        y, w, x, dropped = load_csv_longhand(path, *USED, na_policy=na_policy)
+        return ObservationTable(y=np.asarray(y), w=np.asarray(w), x=np.asarray(x),
+                                covariate_names=USED[2], dropped_rows=dropped)
+    return table_outcome(load)
+
+
+def assert_all_parsers_agree(path, na_policy, block_chars):
+    expected = longhand_outcome(path, na_policy)
+    assert load_outcome(path, na_policy) == expected
+    assert load_outcome(path, na_policy, block_chars=block_chars) == expected
+    assert load_outcome(path, na_policy, fast=False, block_chars=block_chars) == expected
+
+
+def took_fast_path(path, na_policy, block_chars=None):
+    """Whether no block of the file went to the row parser."""
+    with contextlib.ExitStack() as stack:
+        rows = stack.enter_context(
+            mock.patch.object(cbdata, "_parse_rows", wraps=cbdata._parse_rows))
+        if block_chars is not None:
+            stack.enter_context(mock.patch.object(cbdata, "_BLOCK_CHARS", block_chars))
+        with contextlib.suppress(DataError):
+            load_csv(path, *USED, na_policy=na_policy)
+    return not rows.called
+
+
+# (id, file text, whether the fast path takes the file whole in one block)
+EDGE_CASES = [
+    ("padding", "y,w,x1,x2\n 1.5 ,0,\t2 , 3\n2,1,3,4\n", True),
+    ("quotes", 'y,w,x1,x2\n"1.5","0",2,3\n2,1,"3",4\n', True),
+    ("quote_then_tail", 'y,w,x1,x2\n"1"5,0,2,3\n2,1,3,4\n', False),
+    ("hash", "y,w,x1,x2\n1,0,2,3#4\n2,1,3,4\n", False),
+    ("duplicate_header", "y,w,x1,x2,y\n1,0,2,3,9\n2,1,3,4,8\n", True),
+    ("duplicate_header_short_row", "y,w,x1,x2,y\n1,0,2,3\n2,1,3,4,8\n", False),
+    ("crlf", "y,w,x1,x2\r\n1,0,2,3\r\n2,1,3,4\r\n", True),
+    ("underscore", "y,w,x1,x2\n1_000,0,2,3\n2,1,3,4\n", False),
+    ("extra_cells", "y,w,x1,x2\n1,0,2,3,7,7\n2,1,3,4\n", True),
+    ("short_row", "y,w,x1,x2\n1,0,2\n2,1,3,4\n", False),
+    ("blank_line", "y,w,x1,x2\n1,0,2,3\n\n2,1,3,4\n", True),
+    ("whitespace_line", "y,w,x1,x2\n1,0,2,3\n   \n2,1,3,4\n", False),
+    ("nan", "y,w,x1,x2\nNaN,0,2,3\n2,1,3,4\n", False),
+    ("inf", "y,w,x1,x2\n1,0,inf,3\n2,1,3,4\n", False),
+    ("hex_float", "y,w,x1,x2\n0x1p3,0,2,3\n2,1,3,4\n", False),
+    ("treatment_one_point_zero", "y,w,x1,x2\n1,1.0,2,3\n2,0.0,3,4\n", True),
+    ("treatment_minus_zero", "y,w,x1,x2\n1,-0,2,3\n2,1,3,4\n", True),
+    ("treatment_one_half", "y,w,x1,x2\n1,0.5,2,3\n2,1,3,4\n", False),
+    ("header_only", "y,w,x1,x2\n", True),
+    ("quoted_newline", 'y,w,x1,x2\n"1\n",0,2,3\n2,1,"x\ny",4\n', False),
+    ("quoted_newline_unused", 'y,w,x1,x2,id\n1,0,2,3,"a\nb"\n2,1,3,4,"c,\n\nd"\n', True),
+    ("open_quote_at_end", 'y,w,x1,x2,id\n1,0,2,3\n2,1,3,4,"c\n', False),
+    ("quote_in_unquoted_cell", 'y,w,x1,x2,id\n1,0,2,3,a"b\n2,1,3,4,"c"\n', True),
+]
+
+
+class TestFastPathEdgeCases:
+    @pytest.mark.parametrize("text,fast", [c[1:] for c in EDGE_CASES],
+                             ids=[c[0] for c in EDGE_CASES])
+    @pytest.mark.parametrize("na_policy", ["reject", "drop"])
+    @pytest.mark.parametrize("block_chars", [1, 24])
+    def test_same_outcome_as_row_parser(self, tmp_path, text, fast, na_policy, block_chars):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_all_parsers_agree(path, na_policy, block_chars)
+        assert took_fast_path(path, na_policy) == fast
+
+    def test_only_declined_blocks_are_row_parsed(self, tmp_path):
+        path = tmp_path / "holes.csv"
+        path.write_text("y,w,x1,x2\n" + "1,0,2,3\n" * 3 + "1,0,NA,3\n" + "2,1,3,4\n" * 3,
+                        encoding="utf-8")
+        with mock.patch.object(cbdata, "_BLOCK_CHARS", 1), mock.patch.object(
+            cbdata, "_parse_rows", wraps=cbdata._parse_rows
+        ) as rows:
+            table = load_csv(path, *USED, na_policy="drop")
+            assert rows.call_count == 1 and table.n == 6 and table.dropped_rows == 1
+            with pytest.raises(DataError, match="column 'x1' at data row 4$"):
+                load_csv(path, *USED)
+
+    def test_generated_file_is_read_fast_and_exactly(self, tmp_path):
+        path = export_dgm_csv(tmp_path / "dgm.csv", n=500)
+        assert took_fast_path(path, "reject")
+        assert took_fast_path(path, "reject", block_chars=4096)
+        assert_all_parsers_agree(path, "reject", 4096)
+        fast = load_csv(path, *USED)
+        assert fast.y.flags.c_contiguous and fast.x.flags.c_contiguous
+        assert fast.w.dtype == np.int64 and fast.n == 500
+
+
+NA_CELLS = ["", "NA", "na", "Na", "nan", "NaN", "NAN", "null", "NULL", "Null", " na "]
+HOSTILE_CELLS = NA_CELLS + [
+    "inf", "-Infinity", "1_000", "0x1p3", "#", "1#2", "abc", "2", "0.5", "1e999",
+    '"1.5"', '" 3 "', '"1"5', '1"5"', '"1,5"', '"-0"', "  ", "\t7\t", "1e5", ".5",
+    '"1\n5"', '"\n"', '"2\r\n"', '"x', 'x"', "\x1c1", "1\u2003", "\u0661",
+]
+CLEAN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e3, 1e3).map(lambda v: f" {v!r} "),
+    st.floats(-1e3, 1e3).map(lambda v: f'"{v!r}"'),
+)
+CLEAN_TREATMENTS = st.sampled_from(["0", "1", "0.0", "1.0", "-0", " 1 ", '"0"', "1e0"])
+TREATMENT_JUNK = ["2", "0.5", "-1", "1.5", "nan", "inf", "true", ""]
+HOSTILITY = ["cells", "ragged", "blank_lines", "comments", "treatment"]
+
+
+@st.composite
+def hostile_csv(draw):
+    """A CSV text whose header holds y, w, x1 and x2 (maybe repeated, with
+    extra columns) and whose cells are clean numbers, plus any mix of
+    hostile cells, ragged rows, blank lines, ``#`` tails and non-binary
+    treatment values."""
+    header = draw(st.permutations(["y", "w", "x1", "x2"]))
+    header += draw(st.lists(st.sampled_from(["y", "w", "x1", "x2", "id"]), max_size=3))
+    header = draw(st.permutations(header))
+    kinds = draw(st.sets(st.sampled_from(HOSTILITY)))
+    w_col = max(j for j, name in enumerate(header) if name == "w")
+
+    def sometimes(kind):
+        return kind in kinds and draw(st.integers(0, 7)) == 0
+
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if sometimes("blank_lines"):
+            lines.append(draw(st.sampled_from(["", "  ", '""', ","])))
+            continue
+        width = len(header) + (draw(st.integers(-2, 2)) if "ragged" in kinds else 0)
+        cells = []
+        for j in range(width):
+            if j == w_col:
+                pool = TREATMENT_JUNK if sometimes("treatment") else None
+                cells.append(draw(st.sampled_from(pool) if pool else CLEAN_TREATMENTS))
+            elif sometimes("cells"):
+                cells.append(draw(st.sampled_from(HOSTILE_CELLS)))
+            else:
+                cells.append(draw(CLEAN_NUMBERS))
+        tail = draw(st.sampled_from(["#", " # note", "#1,2"])) if sometimes("comments") else ""
+        lines.append(",".join(cells) + tail)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+class TestFastPathProperty:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=hostile_csv(), block_chars=st.integers(1, 96))
+    def test_fast_path_matches_row_parser(self, tmp_path, text, block_chars):
+        path = tmp_path / "generated.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for na_policy in ("reject", "drop"):
+            assert_all_parsers_agree(path, na_policy, block_chars)
+
+
+class TestInputFiles:
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = export_dgm_csv(tmp_path / "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_outcome(marked, "reject") == load_outcome(plain, "reject")
+        assert load_outcome(marked, "reject", fast=False) == load_outcome(plain, "reject")
+        assert main(analyze_args(plain, tmp_path / "a")) == 0
+        assert main(analyze_args(marked, tmp_path / "b")) == 0
+        payloads = [
+            json.loads((tmp_path / d / "result.json").read_text())["payload"]
+            for d in ("a", "b")
+        ]
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("good_rows", [0, 20_000])
+    def test_non_utf8_csv_is_a_data_error(self, tmp_path, fast, good_rows):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,w,x1,x2\n" + b"1,0,2,3\n" * good_rows + b"1,0,caf\xe9,3\n")
+        error, message = load_outcome(path, "reject", fast=fast)
+        assert error is DataError
+        assert str(path) in message and "UTF-8" in message
+
+    def test_cell_over_csv_field_limit_is_a_data_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("y,w,x1,x2\n1,0,2,3\n2,1," + "z" * 140_000 + ",4\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(path, *USED, na_policy="drop")
+
+    def test_non_utf8_csv_exits_3_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,w,x1,x2\n1,0,caf\xe9,3\n2,1,3,4\n")
+        assert main(analyze_args(path, tmp_path)) == 3
+        assert str(path) in capsys.readouterr().err
+
+    def test_non_utf8_scores_exit_3_naming_file(self, tmp_path, capsys):
+        csv_path = export_dgm_csv(tmp_path / "dgm.csv")
+        scores = tmp_path / "scores.txt"
+        scores.write_bytes(b"0.5\n" * 1199 + b"0.\xe9\n")
+        code = main(analyze_args(csv_path, tmp_path, **{"--method": f"external:{scores}"}))
+        assert code == 3
+        assert str(scores) in capsys.readouterr().err
+
+
+class TestExternalScoresNonFinite:
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_score_names_its_line(self, tmp_path, token):
+        path = tmp_path / "scores.txt"
+        path.write_text(f"0.5\n\n{token}\n0.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"non-finite score '{token}' at line 3"):
+            load_external_scores(path, 3)
+
+    def test_nan_score_exits_3(self, tmp_path, capsys):
+        csv_path = export_dgm_csv(tmp_path / "dgm.csv")
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.5\n" * 700 + "nan\n" + "0.5\n" * 499, encoding="utf-8")
+        code = main(analyze_args(csv_path, tmp_path, **{"--method": f"external:{scores}"}))
+        assert code == 3
+        assert "non-finite score 'nan' at line 701" in capsys.readouterr().err
