@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import hashlib
 import json
@@ -23,10 +22,11 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .config import BlbConfig, CI_KINDS
-from .data import load_csv
+from .data import NA_POLICIES, load_csv
 from .engine import BlbEstimate, run_blb
 from .errors import CausalbootError, ConfigError, DataError, EstimationError
 from .simulation import benchmark_timing, run_relerr_harness, run_replications
@@ -38,8 +38,142 @@ EXIT_ESTIMATION = 4
 
 
 # ---------------------------------------------------------------------
-# Option plumbing: precedence is flags > config file > defaults.
+# Options: one table per subcommand.  An entry's name is both its flag
+# (--subset-size) and its config-file key (subset_size), and its parse
+# function reads the text of either.  Precedence is flags > config file
+# > defaults; the run-configuration defaults are BlbConfig's own.
 # ---------------------------------------------------------------------
+
+class Option(NamedTuple):
+    name: str
+    parse: Callable[[str], Any]
+    default: Any
+    help: str
+
+
+REQUIRED = object()  # the default of an option that must be given
+
+_RUN = BlbConfig()
+BENCH_P = 2
+BENCH_SUBSETS, GRID_SUBSETS = (2, 10), (2, 4)
+GRID_PS = (2, 10, 50)  # the p values --grid runs when --p is BENCH_P
+
+
+def _parse_bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_bounds(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected LO,HI")
+    return (float(parts[0]), float(parts[1]))
+
+
+def _list_of(cast):
+    def parse(text: str) -> list:
+        values = [cast(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise ValueError("expected a comma-separated list")
+        return values
+
+    return parse
+
+
+def _show(value) -> str:
+    """A default as it would be typed."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+_OUTPUT = Option("output", str, ".", "output directory")
+
+_BLB_OPTIONS = (
+    Option("method", str, _RUN.estimator, "logistic | cbps | marginal | external:PATH"),
+    Option("gamma", float, None,
+           f"subset exponent, b = n**gamma (default {_RUN.gamma} without --subset-size)"),
+    Option("subset_size", int, _RUN.subset_size,
+           "fixed subset size b (mutually exclusive with --gamma)"),
+    Option("subsets", int, _RUN.subsets, "number of subsets s"),
+    Option("replicates", int, _RUN.replicates, "bootstrap replicates r per subset"),
+    Option("seed", int, _RUN.seed, "root seed"),
+    Option("ci", str, _RUN.ci_kind, "interval kind: " + " | ".join(CI_KINDS)),
+    Option("alpha", float, _RUN.alpha, "interval level"),
+    Option("truncate", _parse_bounds, _RUN.truncation, "score truncation bounds LO,HI"),
+    Option("weight_cap", float, _RUN.weight_cap, "largest normalized weight a subset may hold"),
+    Option("balance_threshold", float, _RUN.balance_threshold, "max |SMD| considered balanced"),
+    Option("redraw_on_imbalance", _parse_bool, _RUN.redraw_on_imbalance,
+           "redraw a subset whose max |SMD| exceeds the balance threshold"),
+    Option("max_redraws", int, _RUN.max_redraws, "redraws allowed per subset"),
+    Option("threads", int, os.cpu_count() or 1, "worker threads; defaults to the CPU count"),
+    _OUTPUT,
+)
+
+OPTIONS: dict[str, tuple[Option, ...]] = {
+    "analyze": (
+        Option("input", str, REQUIRED, "input CSV path"),
+        Option("outcome", str, REQUIRED, "outcome column name"),
+        Option("treatment", str, REQUIRED, "treatment column name (0/1)"),
+        Option("covariates", _list_of(str), REQUIRED, "comma-separated covariate column names"),
+        Option("na_policy", str, NA_POLICIES[0],
+               "rows with missing cells: " + " | ".join(NA_POLICIES)),
+        Option("emit_draws", _parse_bool, False, "also write per-subset replicate draws CSV"),
+        *_BLB_OPTIONS,
+    ),
+    "simulate": (
+        Option("n", int, REQUIRED, "rows per simulated dataset"),
+        Option("replications", int, REQUIRED, "independent replications (at least 10)"),
+        *_BLB_OPTIONS,
+    ),
+    "relerr": (
+        Option("n", int, REQUIRED, "rows of the simulated dataset"),
+        Option("gammas", _list_of(float), REQUIRED, "comma-separated gamma values"),
+        Option("replicates", int, _RUN.replicates, "bootstrap replicates r per subset"),
+        Option("oracle_reps", int, 1000, "full-data bootstrap replicates of the oracle"),
+        Option("data_reps", int, 10, "independent datasets averaged over"),
+        Option("seed", int, _RUN.seed, "root seed"),
+        _OUTPUT,
+    ),
+    "benchmark": (
+        Option("ns", _list_of(int), REQUIRED, "comma-separated dataset sizes"),
+        Option("methods", _list_of(str), ("logistic", "cbps"), "comma-separated methods"),
+        Option("subsets", _list_of(int), None, "comma-separated subset counts (default "
+               f"{_show(BENCH_SUBSETS)}; {_show(GRID_SUBSETS)} with --grid)"),
+        Option("p", int, BENCH_P, "number of confounders"),
+        Option("reps", int, 100, "timed runs per cell"),
+        Option("grid", _parse_bool, False,
+               f"time only the fits, over n and p in {_show(GRID_PS)} (if --p is {BENCH_P})"),
+        Option("seed", int, _RUN.seed, "root seed"),
+        _OUTPUT,
+    ),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_options(sub: argparse.ArgumentParser, table: tuple[Option, ...]) -> None:
+    """One flag per table entry, holding its text; a boolean entry is a
+    switch.  An absent flag is absent from the namespace."""
+    for opt in table:
+        text = opt.help
+        if opt.default is REQUIRED:
+            text += " (required)"
+        elif opt.default is not None and opt.parse is not _parse_bool:
+            text += f" (default {_show(opt.default)})"
+        kind = {"action": "store_const", "const": "true"} if opt.parse is _parse_bool else {}
+        sub.add_argument(_flag(opt.name), default=argparse.SUPPRESS,
+                         help=text.replace("%", "%%"), **kind)  # help is %-formatted
+    sub.add_argument("--config", default=None,
+                     help="file of key=value lines; keys are the flag names above")
+
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -58,62 +192,32 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge(args: argparse.Namespace, file_values: dict[str, str], key: str, default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
+def _options(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's table resolved: flags, then the config file, then defaults."""
+    table = OPTIONS[args.command]
+    names = [opt.name for opt in table]
+    file_values = _read_config_file(args.config) if args.config else {}
+    for key in file_values:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in config file {args.config}; "
+                              f"{args.command} accepts {', '.join(names)}")
+    flags = vars(args)
+    values = {}
+    for opt in table:
+        if opt.name in flags:
+            where, text = f"option {_flag(opt.name)}", flags[opt.name]
+        elif opt.name in file_values:
+            where, text = f"config file option {opt.name}", file_values[opt.name]
+        elif opt.default is REQUIRED:
+            raise ConfigError(f"{_flag(opt.name)} is required (or {opt.name}= in --config)")
+        else:
+            values[opt.name] = opt.default
+            continue
         try:
-            return cast(file_values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config file option {key}={file_values[key]!r}: {exc}") from exc
-    return default
-
-
-def _parse_truncation(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected LO,HI")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _split_list(cast):
-    """List parser raising ValueError (for config-file values)."""
-
-    def parse(text):
-        if isinstance(text, (list, tuple)):
-            return list(text)
-        return [cast(part.strip()) for part in str(text).split(",") if part.strip()]
-
-    return parse
-
-
-def _csv_list(cast):
-    """List parser for argparse flags."""
-
-    def parse(text: str):
-        try:
-            return _split_list(cast)(text)
+            values[opt.name] = opt.parse(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-
-    return parse
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
+            raise ConfigError(f"{where}={text}: {exc}") from exc
+    return argparse.Namespace(**values)
 
 
 # ---------------------------------------------------------------------
@@ -229,23 +333,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # Subcommands
 # ---------------------------------------------------------------------
 
-def _add_common_blb_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--method", default=None,
-                     help="logistic | cbps | marginal | external:PATH")
-    sub.add_argument("--gamma", type=float, default=None,
-                     help="subset exponent, b = n**gamma")
-    sub.add_argument("--subsets", type=int, default=None, help="number of subsets s")
-    sub.add_argument("--replicates", type=int, default=None,
-                     help="bootstrap replicates r per subset")
-    sub.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    sub.add_argument("--ci", choices=CI_KINDS, default=None, help="interval kind")
-    sub.add_argument("--alpha", type=float, default=None, help="interval level (default 0.05)")
-    sub.add_argument("--output", default=None, help="output directory (default .)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: machine parallelism)")
-    sub.add_argument("--config", default=None, help="key=value config file")
-
-
 def _split_method(method: str) -> tuple[str, str | None]:
     if method.startswith("external:"):
         path = method.split(":", 1)[1]
@@ -257,55 +344,33 @@ def _split_method(method: str) -> tuple[str, str | None]:
     return method, None
 
 
-def _build_config(args, file_values) -> BlbConfig:
-    """Merge flags and file values over the ``BlbConfig`` defaults; only
-    ``threads`` defaults to the machine's parallelism instead."""
-    default = BlbConfig()
-    method = _merge(args, file_values, "method", default.estimator, str)
-    estimator, scores_path = _split_method(method)
-    gamma = _merge(args, file_values, "gamma", None, float)
-    subset_size = _merge(args, file_values, "subset_size", default.subset_size, int)
-    if gamma is not None and subset_size is not None:
+def _build_config(opts: argparse.Namespace) -> BlbConfig:
+    estimator, scores_path = _split_method(opts.method)
+    if opts.gamma is not None and opts.subset_size is not None:
         raise ConfigError("--gamma and --subset-size are mutually exclusive")
-    if gamma is None and subset_size is None:
-        gamma = default.gamma
-    config = BlbConfig(
-        gamma=gamma,
-        subset_size=subset_size,
-        subsets=_merge(args, file_values, "subsets", default.subsets, int),
-        replicates=_merge(args, file_values, "replicates", default.replicates, int),
-        seed=_merge(args, file_values, "seed", default.seed, int),
-        truncation=_merge(args, file_values, "truncate", default.truncation,
-                          lambda s: tuple(float(v) for v in s.split(","))),
-        alpha=_merge(args, file_values, "alpha", default.alpha, float),
-        ci_kind=_merge(args, file_values, "ci", default.ci_kind, str),
-        estimator=estimator,
-        external_scores=scores_path,
-        balance_threshold=_merge(args, file_values, "balance_threshold",
-                                 default.balance_threshold, float),
-        redraw_on_imbalance=_merge(args, file_values, "redraw_on_imbalance",
-                                   default.redraw_on_imbalance, _parse_bool),
-        max_redraws=_merge(args, file_values, "max_redraws", default.max_redraws, int),
-        weight_cap=_merge(args, file_values, "weight_cap", default.weight_cap, float),
-        threads=_merge(args, file_values, "threads", _default_threads(), int),
-    )
-    return config.validate()
+    gamma = _RUN.gamma if opts.gamma is None and opts.subset_size is None else opts.gamma
+    same_name = ("subset_size", "subsets", "replicates", "seed", "alpha", "weight_cap",
+                 "balance_threshold", "redraw_on_imbalance", "max_redraws", "threads")
+    return BlbConfig(
+        gamma=gamma, truncation=opts.truncate, ci_kind=opts.ci, estimator=estimator,
+        external_scores=scores_path, **{name: getattr(opts, name) for name in same_name},
+    ).validate()
+
+
+def _settings(opts: argparse.Namespace) -> dict:
+    """The resolved options a manifest records: all but the output directory."""
+    return {key: value for key, value in vars(opts).items() if key != "output"}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     started = _utcnow()
-    file_values = _read_config_file(args.config) if args.config else {}
-    config = _build_config(args, file_values)
-    outcome = _merge(args, file_values, "outcome", None, str)
-    treatment = _merge(args, file_values, "treatment", None, str)
-    covariates = _merge(args, file_values, "covariates", None, _split_list(str))
-    if not outcome or not treatment or not covariates:
-        raise ConfigError("--outcome, --treatment and --covariates are required")
-    na_policy = _merge(args, file_values, "na_policy", "reject", str)
-    out_dir = Path(_merge(args, file_values, "output", ".", str))
+    opts = _options(args)
+    config = _build_config(opts)
+    out_dir = Path(opts.output)
 
     t0 = time.perf_counter()
-    table = load_csv(args.input, outcome, treatment, covariates, na_policy=na_policy)
+    table = load_csv(opts.input, opts.outcome, opts.treatment, opts.covariates,
+                     na_policy=opts.na_policy)
     load_seconds = time.perf_counter() - t0
     result = run_blb(table, config)
 
@@ -314,14 +379,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     document = {
         "payload": payload,
         "manifest": _manifest("analyze", config.resolved(), config.seed, started,
-                              config.threads, input_digest=_digest(args.input)),
+                              config.threads, input_digest=_digest(opts.input)),
         "timing": {
             "load_seconds": load_seconds,
             **result.timings,
         },
     }
     _write_json(out_dir / "result.json", document)
-    if args.emit_draws:
+    if opts.emit_draws:
         rows = [
             [est.subset_id, j, float(d)]
             for est in result.subsets
@@ -337,13 +402,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = _utcnow()
-    file_values = _read_config_file(args.config) if args.config else {}
-    config = _build_config(args, file_values)
-    n = _merge(args, file_values, "n", None, int)
-    R = _merge(args, file_values, "replications", None, int)
-    if n is None or R is None:
-        raise ConfigError("--n and --replications are required")
-    out_dir = Path(_merge(args, file_values, "output", ".", str))
+    opts = _options(args)
+    config = _build_config(opts)
+    n, R = opts.n, opts.replications
+    out_dir = Path(opts.output)
 
     summary = run_replications(R, n, config, seed=config.seed, threads=config.threads)
     payload = _json_safe(
@@ -386,40 +448,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_relerr(args: argparse.Namespace) -> int:
     started = _utcnow()
-    file_values = _read_config_file(args.config) if args.config else {}
-    n = _merge(args, file_values, "n", None, int)
-    gammas = _merge(args, file_values, "gammas", None, _split_list(float))
-    if n is None or not gammas:
-        raise ConfigError("--n and --gammas are required")
-    r = _merge(args, file_values, "replicates", 100, int)
-    oracle_reps = _merge(args, file_values, "oracle_reps", 1000, int)
-    data_reps = _merge(args, file_values, "data_reps", 10, int)
-    seed = _merge(args, file_values, "seed", 0, int)
-    out_dir = Path(_merge(args, file_values, "output", ".", str))
-
+    opts = _options(args)
     trajectories = run_relerr_harness(
-        n, gammas, r=r, oracle_reps=oracle_reps, data_reps=data_reps, seed=seed
+        opts.n, opts.gammas, r=opts.replicates, oracle_reps=opts.oracle_reps,
+        data_reps=opts.data_reps, seed=opts.seed,
     )
     rows = []
     for traj in trajectories:
         for s, secs, err in zip(traj.subset_counts, traj.cum_seconds, traj.err):
             rows.append([traj.gamma, s, secs, err])
+    out_dir = Path(opts.output)
     _write_csv(out_dir / "relerr.csv", ["gamma", "subsets", "cum_seconds", "err"], rows)
     document = {
         "payload": _json_safe(
             {
                 "oracle_ci": list(trajectories[0].oracle_ci) if trajectories else None,
-                "n": n,
-                "gammas": gammas,
+                "n": opts.n,
+                "gammas": opts.gammas,
                 "terminal_err": {str(t.gamma): t.err[-1] for t in trajectories},
             }
         ),
-        "manifest": _manifest(
-            "relerr",
-            {"n": n, "gammas": gammas, "replicates": r, "oracle_reps": oracle_reps,
-             "data_reps": data_reps, "seed": seed},
-            seed, started, 1,
-        ),
+        "manifest": _manifest("relerr", _settings(opts), opts.seed, started, 1),
         "timing": {
             "per_gamma_total_seconds": {str(t.gamma): t.cum_seconds[-1] for t in trajectories},
         },
@@ -432,28 +481,19 @@ def cmd_relerr(args: argparse.Namespace) -> int:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     started = _utcnow()
-    file_values = _read_config_file(args.config) if args.config else {}
-    ns = _merge(args, file_values, "ns", None, _split_list(int))
-    methods = _merge(args, file_values, "methods", ["logistic", "cbps"], _split_list(str))
-    s_values = _merge(args, file_values, "subsets", [2, 10], _split_list(int))
-    if ns is None:
-        raise ConfigError("--ns is required")
-    p = _merge(args, file_values, "p", 2, int)
-    reps = _merge(args, file_values, "reps", 100, int)
-    seed = _merge(args, file_values, "seed", 0, int)
-    grid = bool(getattr(args, "grid", False))
-    out_dir = Path(_merge(args, file_values, "output", ".", str))
-
-    grid_ps = [2, 10, 50] if grid and p == 2 else [p]
+    opts = _options(args)
+    if opts.subsets is None:
+        opts.subsets = list(GRID_SUBSETS if opts.grid else BENCH_SUBSETS)
     cells = benchmark_timing(
-        ns, methods, s_values if not grid else [2, 4], p=p, reps=reps, seed=seed,
-        grid=grid, grid_ps=grid_ps if grid else None,
+        opts.ns, opts.methods, opts.subsets, p=opts.p, reps=opts.reps, seed=opts.seed,
+        grid=opts.grid, grid_ps=GRID_PS if opts.p == BENCH_P else None,
     )
     rows = [
         [cell.n, cell.p, cell.method, cell.s, rep, sec]
         for cell in cells
         for rep, sec in enumerate(cell.seconds)
     ]
+    out_dir = Path(opts.output)
     _write_csv(out_dir / "timings.csv", ["n", "p", "method", "s", "rep", "seconds"], rows)
     med_rows = [
         [cell.n, cell.p, cell.method, cell.s, cell.median_seconds] for cell in cells
@@ -461,12 +501,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     _write_csv(out_dir / "medians.csv", ["n", "p", "method", "s", "median_seconds"], med_rows)
     document = {
         "payload": {"cells": len(cells)},
-        "manifest": _manifest(
-            "benchmark",
-            {"ns": ns, "methods": methods, "subsets": s_values, "p": p,
-             "reps": reps, "seed": seed, "grid": grid},
-            seed, started, 1,
-        ),
+        "manifest": _manifest("benchmark", _settings(opts), opts.seed, started, 1),
         "timing": {},
     }
     _write_json(out_dir / "benchmark_summary.json", document)
@@ -480,6 +515,14 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 # Entry point
 # ---------------------------------------------------------------------
 
+_COMMANDS = {
+    "analyze": (cmd_analyze, "estimate an effect from a CSV file"),
+    "simulate": (cmd_simulate, "bias/coverage replication study"),
+    "relerr": (cmd_relerr, "relative-error trajectories"),
+    "benchmark": (cmd_benchmark, "timing benchmarks"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalboot",
@@ -487,63 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    analyze = commands.add_parser("analyze", help="estimate an effect from a CSV file")
-    analyze.add_argument("--input", required=True, help="input CSV path")
-    analyze.add_argument("--outcome", default=None, help="outcome column name")
-    analyze.add_argument("--treatment", default=None, help="treatment column name (0/1)")
-    analyze.add_argument("--covariates", type=_csv_list(str), default=None,
-                         help="comma-separated covariate column names")
-    analyze.add_argument("--subset-size", dest="subset_size", type=int, default=None,
-                         help="fixed subset size b (mutually exclusive with --gamma)")
-    analyze.add_argument("--truncate", dest="truncate", type=_parse_truncation,
-                         default=None, help="score truncation bounds LO,HI")
-    analyze.add_argument("--balance-threshold", dest="balance_threshold", type=float,
-                         default=None, help="max |SMD| considered balanced")
-    analyze.add_argument("--na-policy", dest="na_policy", choices=("reject", "drop"),
-                         default=None, help="handling of rows with missing cells")
-    analyze.add_argument("--emit-draws", action="store_true",
-                         help="also write per-subset replicate draws CSV")
-    _add_common_blb_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
-
-    simulate = commands.add_parser("simulate", help="bias/coverage replication study")
-    simulate.add_argument("--n", type=int, default=None, help="rows per simulated dataset")
-    simulate.add_argument("--replications", type=int, default=None,
-                          help="independent replications (at least 10)")
-    simulate.add_argument("--subset-size", dest="subset_size", type=int, default=None)
-    simulate.add_argument("--truncate", dest="truncate", type=_parse_truncation, default=None)
-    _add_common_blb_flags(simulate)
-    simulate.set_defaults(func=cmd_simulate)
-
-    relerr = commands.add_parser("relerr", help="relative-error trajectories")
-    relerr.add_argument("--n", type=int, default=None)
-    relerr.add_argument("--gammas", type=_csv_list(float), default=None,
-                        help="comma-separated gamma values")
-    relerr.add_argument("--replicates", type=int, default=None)
-    relerr.add_argument("--oracle-reps", dest="oracle_reps", type=int, default=None)
-    relerr.add_argument("--data-reps", dest="data_reps", type=int, default=None)
-    relerr.add_argument("--seed", type=int, default=None)
-    relerr.add_argument("--output", default=None)
-    relerr.add_argument("--config", default=None)
-    relerr.set_defaults(func=cmd_relerr)
-
-    benchmark = commands.add_parser("benchmark", help="timing benchmarks")
-    benchmark.add_argument("--ns", type=_csv_list(int), default=None,
-                           help="comma-separated dataset sizes")
-    benchmark.add_argument("--methods", type=_csv_list(str), default=None,
-                           help="comma-separated methods")
-    benchmark.add_argument("--subsets", type=_csv_list(int), default=None,
-                           help="comma-separated subset counts")
-    benchmark.add_argument("--p", type=int, default=None, help="number of confounders")
-    benchmark.add_argument("--reps", type=int, default=None, help="timed runs per cell")
-    benchmark.add_argument("--grid", action="store_true",
-                           help="vary (n, p) with s in {2, 4}, timing fits only")
-    benchmark.add_argument("--seed", type=int, default=None)
-    benchmark.add_argument("--output", default=None)
-    benchmark.add_argument("--config", default=None)
-    benchmark.set_defaults(func=cmd_benchmark)
-
+    for name, (func, text) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        _add_options(sub, OPTIONS[name])
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -16,6 +16,10 @@ from .errors import ConfigError, DataError
 # Cell contents treated as missing (case-insensitive, after stripping).
 _NA_TOKENS = frozenset({"", "na", "nan", "null"})
 
+# What ``load_csv`` does with a row holding a missing cell; the first is
+# the default.
+NA_POLICIES = ("reject", "drop")
+
 
 @dataclass(frozen=True)
 class ObservationTable:
@@ -225,7 +229,7 @@ def load_csv(
     outcome_col: str,
     treatment_col: str,
     covariate_cols: list[str],
-    na_policy: str = "reject",
+    na_policy: str = NA_POLICIES[0],
 ) -> ObservationTable:
     """Load an observation table from a header-first UTF-8 CSV file.
 
@@ -237,8 +241,8 @@ def load_csv(
     vectorized pass; a block that pass declines is parsed again row by
     row, which alone applies the NA policy and words every error.
     """
-    if na_policy not in ("reject", "drop"):
-        raise ConfigError(f"na_policy must be 'reject' or 'drop', got {na_policy!r}")
+    if na_policy not in NA_POLICIES:
+        raise ConfigError(f"na_policy must be one of {NA_POLICIES}, got {na_policy!r}")
     if not covariate_cols:
         raise ConfigError("at least one covariate column is required")
     used = [outcome_col, treatment_col, *covariate_cols]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,15 +144,7 @@ def order_subset(
     order = np.argsort(w_sub, kind="stable")
     idx = np.asarray(indices)[order]
     w_ord = w_sub[order]
-    fit_ord = PropensityFit(
-        scores=fit.scores[order],
-        coefficients=fit.coefficients,
-        method=fit.method,
-        converged=fit.converged,
-        iterations=fit.iterations,
-        objective=fit.objective,
-        clamped=fit.clamped,
-    )
+    fit_ord = replace(fit, scores=fit.scores[order])
     weights = normalized_weights(fit_ord, w_ord)
     return SubsetFit(
         subset_id=subset_id,
@@ -236,14 +228,7 @@ def _fit_scores(
         return marginal_propensity(w_sub)
     # external: slice the full-data score vector at the subset rows
     assert external is not None
-    return PropensityFit(
-        scores=external.scores[indices],
-        coefficients=external.coefficients,
-        method="external",
-        converged=True,
-        iterations=0,
-        objective=0.0,
-    )
+    return replace(external, scores=external.scores[indices])
 
 
 def _run_one_subset(

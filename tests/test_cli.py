@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from causalboot import cli
 from causalboot import rng as cbrng
 from causalboot.cli import main
+from causalboot.config import BlbConfig
 from causalboot.simulation import generate_dgm
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -235,3 +238,123 @@ class TestBenchmark:
         assert {(row[1], row[3]) for row in rows} == {
             ("2", "2"), ("2", "4"), ("10", "2"), ("10", "4"), ("50", "2"), ("50", "4")
         }
+
+
+def run_with_config(argv, tmp_path, lines):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return main(argv + ["--config", str(cfg)])
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("value", ["0.1", "0.1,0.5,0.9"])
+    def test_bad_truncate_value_exits_2(self, dgm_csv, tmp_path, capsys, value):
+        code = run_with_config(analyze_args(dgm_csv, tmp_path), tmp_path, [f"truncate={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file option truncate={value}: ")
+        assert "Traceback" not in err
+
+    def test_bad_flag_value_exits_2(self, dgm_csv, tmp_path, capsys):
+        code = main(analyze_args(dgm_csv, tmp_path, **{"--truncate": "0.1"}))
+        assert code == 2
+        assert "option --truncate=0.1: expected LO,HI" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["analyze", "--input", "in.csv", "--outcome", "y", "--treatment", "w",
+              "--covariates", "x1"], "replicate=5"),
+            (["relerr", "--n", "800", "--gammas", "0.5"], "gamma=0.5"),
+        ],
+        ids=["analyze-replicate", "relerr-gamma"],
+    )
+    def test_unknown_key_exits_2_naming_known_keys(self, tmp_path, capsys, argv, line):
+        code = run_with_config(argv, tmp_path, [line])
+        assert code == 2
+        err = capsys.readouterr().err
+        key = line.split("=")[0]
+        assert f"unknown key {key!r}" in err
+        known = ", ".join(opt.name for opt in cli.OPTIONS[argv[0]])
+        assert err.rstrip().endswith(f"{argv[0]} accepts {known}")
+
+    def test_dashed_keys_read_as_underscored(self, dgm_csv, tmp_path):
+        code = run_with_config(analyze_args(dgm_csv, tmp_path, **{"--gamma": None}), tmp_path,
+                               ["subset-size=300", "redraw-on-imbalance=yes"])
+        assert code == 0
+        config = json.loads((tmp_path / "result.json").read_text())["manifest"]["config"]
+        assert (config["subset_size"], config["redraw_on_imbalance"]) == (300, True)
+
+    def test_missing_required_option_exits_2(self, tmp_path, capsys):
+        code = main(["analyze", "--input", "in.csv", "--treatment", "w", "--covariates", "x1"])
+        assert code == 2
+        assert "--outcome is required" in capsys.readouterr().err
+
+
+# One text per option name; each parses to a value other than its default.
+OPTION_TEXT = {
+    "input": "in.csv", "outcome": "y", "treatment": "w", "covariates": "x1,x2",
+    "na_policy": "drop", "emit_draws": "true", "method": "cbps", "gamma": "0.6",
+    "subset_size": "300", "subsets": "3", "replicates": "30", "seed": "7",
+    "ci": "asymptotic", "alpha": "0.1", "truncate": "0.05,0.95", "weight_cap": "0.5",
+    "balance_threshold": "0.2", "redraw_on_imbalance": "yes", "max_redraws": "4",
+    "threads": "3", "output": "out", "n": "500", "replications": "12",
+    "gammas": "0.5,0.9", "oracle_reps": "50", "data_reps": "2", "ns": "600,800",
+    "methods": "marginal", "p": "5", "reps": "3", "grid": "1",
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, opt) for command, table in cli.OPTIONS.items() for opt in table],
+        ids=lambda value: value if isinstance(value, str) else value.name,
+    )
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, command, option):
+        others = [opt for opt in cli.OPTIONS[command]
+                  if opt.default is cli.REQUIRED and opt is not option]
+        base = [command] + [arg for opt in others for arg in (_flag(opt.name), OPTION_TEXT[opt.name])]
+        text = OPTION_TEXT[option.name]
+        switch = option.parse is cli._parse_bool
+        by_flag = base + [_flag(option.name)] + ([] if switch else [text])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{option.name}={text}\n", encoding="utf-8")
+        by_file = base + ["--config", str(cfg)]
+        parser = cli.build_parser()
+        from_flag = cli._options(parser.parse_args(by_flag))
+        from_file = cli._options(parser.parse_args(by_file))
+        assert from_flag == from_file
+        assert getattr(from_flag, option.name) != option.default
+
+    def test_analyze_defaults_are_blbconfig_defaults(self, dgm_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["analyze", "--input", str(dgm_csv), "--outcome", "y", "--treatment", "w",
+                     "--covariates", "x1,x2"])
+        assert code == 0
+        document = json.loads((tmp_path / "result.json").read_text())
+        assert document["manifest"]["config"] == BlbConfig(threads=os.cpu_count() or 1).resolved()
+
+    @pytest.mark.parametrize("command", list(cli.OPTIONS))
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
+class TestBenchmarkGrid:
+    def test_grid_honours_explicit_subsets(self, tmp_path):
+        code = main(
+            ["benchmark", "--ns", "4000", "--methods", "logistic", "--grid", "--subsets", "3",
+             "--reps", "1", "--output", str(tmp_path)]
+        )
+        assert code == 0
+        with open(tmp_path / "timings.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert {(row[1], row[3]) for row in rows} == {("2", "3"), ("10", "3"), ("50", "3")}
+        document = json.loads((tmp_path / "benchmark_summary.json").read_text())
+        assert document["manifest"]["config"]["subsets"] == [3]
