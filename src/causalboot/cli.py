@@ -54,9 +54,8 @@ class Option(NamedTuple):
 REQUIRED = object()  # the default of an option that must be given
 
 _RUN = BlbConfig()
-BENCH_P = 2
 BENCH_SUBSETS, GRID_SUBSETS = (2, 10), (2, 4)
-GRID_PS = (2, 10, 50)  # the p values --grid runs when --p is BENCH_P
+BENCH_PS, GRID_PS = (2,), (2, 10, 50)
 
 
 def _parse_bool(text: str) -> bool:
@@ -145,10 +144,10 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("methods", _list_of(str), ("logistic", "cbps"), "comma-separated methods"),
         Option("subsets", _list_of(int), None, "comma-separated subset counts (default "
                f"{_show(BENCH_SUBSETS)}; {_show(GRID_SUBSETS)} with --grid)"),
-        Option("p", int, BENCH_P, "number of confounders"),
+        Option("p", _list_of(int), None, "comma-separated confounder counts (default "
+               f"{_show(BENCH_PS)}; {_show(GRID_PS)} with --grid)"),
         Option("reps", int, 100, "timed runs per cell"),
-        Option("grid", _parse_bool, False,
-               f"time only the fits, over n and p in {_show(GRID_PS)} (if --p is {BENCH_P})"),
+        Option("grid", _parse_bool, False, "time only the propensity fits, without resampling"),
         Option("seed", int, _RUN.seed, "root seed"),
         _OUTPUT,
     ),
@@ -484,9 +483,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     opts = _options(args)
     if opts.subsets is None:
         opts.subsets = list(GRID_SUBSETS if opts.grid else BENCH_SUBSETS)
+    if opts.p is None:
+        opts.p = list(GRID_PS if opts.grid else BENCH_PS)
     cells = benchmark_timing(
-        opts.ns, opts.methods, opts.subsets, p=opts.p, reps=opts.reps, seed=opts.seed,
-        grid=opts.grid, grid_ps=GRID_PS if opts.p == BENCH_P else None,
+        opts.ns, opts.methods, opts.subsets, ps=opts.p, reps=opts.reps, seed=opts.seed,
+        grid=opts.grid,
     )
     rows = [
         [cell.n, cell.p, cell.method, cell.s, rep, sec]

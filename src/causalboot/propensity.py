@@ -2,8 +2,9 @@
 
 Three in-package estimators produce per-row scores pi_hat(X): logistic
 regression fit by iteratively reweighted least squares, a just-identified
-covariate-balancing fit solved by BFGS on the squared balance conditions,
-and the marginal treatment rate.  A fourth path loads scores computed by
+covariate-balancing fit solved by damped Newton on the balance conditions,
+from the IRLS solution, and the marginal treatment rate; both regression
+fits run one damped-Newton loop.  A fourth path loads scores computed by
 an external tool.  Scores are then truncated and turned into the
 normalized inverse-propensity weights that drive the resampling engine:
 
@@ -99,6 +100,55 @@ def _loglik(eta: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(w * eta - np.logaddexp(0.0, eta)))
 
 
+def _newton(method, X, beta, newton_step, merit, accept, max_iter) -> PropensityFit:
+    """Damped Newton iteration shared by both regression fits.
+
+    ``newton_step(beta)`` returns ``(step, norm)``: the Newton step at
+    ``beta`` and the max-norm of the residual there, with ``step`` None
+    once that norm is below the fit's tolerance.  Each step is halved
+    until ``accept(merit(candidate), merit(beta), scale)`` holds; when 40
+    halvings find no such candidate the current point is returned as not
+    converged.  A coefficient max-norm beyond ``_SEPARATION_NORM``, a
+    singular Jacobian or a fitted score of exactly 0 or 1 raises
+    ``SeparationError``.  The fit's ``objective`` is the residual norm
+    at the returned coefficients.
+    """
+    value = merit(beta)
+    converged, iterations = False, max_iter
+    for it in range(max_iter + 1):
+        try:
+            step, norm = newton_step(beta)
+        except np.linalg.LinAlgError as exc:
+            raise SeparationError(f"singular Jacobian at iteration {it + 1}") from exc
+        if step is None:
+            converged, iterations = True, it
+            break
+        if it == max_iter:
+            break
+        scale = 1.0
+        for _ in range(40):
+            cand = beta + scale * step
+            cand_value = merit(cand)
+            if accept(cand_value, value, scale):
+                break
+            scale *= 0.5
+        else:
+            iterations = it + 1
+            break
+        beta, value = cand, cand_value
+        if float(np.max(np.abs(beta))) > _SEPARATION_NORM:
+            raise SeparationError(
+                f"coefficient norm exceeded {_SEPARATION_NORM:g}; data are separated"
+            )
+    scores = expit(X @ beta)
+    if not ((scores > 0.0) & (scores < 1.0)).all():
+        raise SeparationError("fitted probabilities reached 0 or 1; data are separated")
+    return PropensityFit(
+        scores=scores, coefficients=beta, method=method,
+        converged=converged, iterations=iterations, objective=norm,
+    )
+
+
 def fit_logistic_irls(
     x: np.ndarray,
     w: np.ndarray,
@@ -113,17 +163,13 @@ def fit_logistic_irls(
     """
     x, w = _check_fit_inputs(x, w)
     X = _design(x)
-    b, m = X.shape
-    beta = np.zeros(m)
+    beta = np.zeros(X.shape[1])
     # Start at the intercept-only MLE so the first step is well scaled.
     rate = w.mean()
     beta[0] = np.log(rate / (1.0 - rate))
 
-    eta = X @ beta
-    ll = _loglik(eta, w)
-    score_norm = np.inf
-    for it in range(1, max_iter + 1):
-        pi = expit(eta)
+    def newton_step(beta):
+        pi = expit(X @ beta)
         score = X.T @ (w - pi)
         score_norm = float(np.max(np.abs(score)))
         if score_norm < tol:
@@ -131,52 +177,33 @@ def fit_logistic_irls(
                 raise SeparationError(
                     "fitted probabilities saturated at the outcomes; data are separated"
                 )
-            return PropensityFit(
-                scores=pi, coefficients=beta, method="logistic",
-                converged=True, iterations=it - 1, objective=score_norm,
-            )
+            return None, score_norm
         weight = pi * (1.0 - pi)
-        hessian = X.T @ (X * weight[:, None])
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError as exc:
-            raise SeparationError(
-                f"singular information matrix at iteration {it}"
-            ) from exc
-        # Halve the step until the log-likelihood does not decrease.
-        scale = 1.0
-        for _ in range(40):
-            cand = beta + scale * step
-            cand_eta = X @ cand
-            cand_ll = _loglik(cand_eta, w)
-            if cand_ll >= ll - 1e-12 * abs(ll):
-                break
-            scale *= 0.5
-        beta, eta, ll = cand, cand_eta, cand_ll
-        if float(np.max(np.abs(beta))) > _SEPARATION_NORM:
-            raise SeparationError(
-                f"coefficient norm exceeded {_SEPARATION_NORM:g}; data are separated"
-            )
-    return PropensityFit(
-        scores=expit(eta), coefficients=beta, method="logistic",
-        converged=False, iterations=max_iter, objective=score_norm,
+        return np.linalg.solve(X.T @ (X * weight[:, None]), score), score_norm
+
+    return _newton(
+        "logistic", X, beta, newton_step, lambda beta: _loglik(X @ beta, w),
+        # a step is taken unless the log-likelihood falls
+        lambda new, old, scale: new >= old - 1e-12 * abs(old),
+        max_iter,
     )
 
 
-def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Just-identified ATE balance moments g(beta), intercept included."""
+def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray, jacobian: bool = False):
+    """Just-identified ATE balance moments g(beta), intercept included.
+
+    With ``jacobian`` also returns their Jacobian from the same pi:
+    J(beta) = -X'DX/b with D = w(1 - pi)/pi + (1 - w)pi/(1 - pi).
+    """
     b = X.shape[0]
     with np.errstate(divide="ignore", over="ignore"):
         pi = np.clip(expit(X @ beta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         coef = w / pi - (1.0 - w) / (1.0 - pi)
-    return (X.T @ coef) / b
-
-
-def _balance_jacobian(X: np.ndarray, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    b = X.shape[0]
-    pi = np.clip(expit(X @ beta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    g = (X.T @ coef) / b
+    if not jacobian:
+        return g
     d = w * (1.0 - pi) / pi + (1.0 - w) * pi / (1.0 - pi)
-    return -(X.T @ (X * d[:, None])) / b
+    return g, -(X.T @ (X * d[:, None])) / b
 
 
 def fit_cbps(
@@ -192,66 +219,33 @@ def fit_cbps(
 
         g(beta) = (1/b) sum_i [w_i x_i / pi_i - (1 - w_i) x_i / (1 - pi_i)] = 0
 
-    solved by BFGS with backtracking line search on 0.5*||g(beta)||^2,
-    with the exact analytic gradient J(beta)'g(beta), initialized at the
-    IRLS solution.  Convergence requires ||g||_inf < ``tol``.
+    solved by damped Newton on the balance conditions, from the IRLS
+    solution.  Each step solves J(beta) step = -g(beta) with the exact
+    Jacobian J = -X'DX/b, D > 0, so it descends 0.5*||g||^2, and is
+    halved until that merit passes an Armijo test.  Convergence requires
+    ||g||_inf < ``tol``.
     """
     x, w = _check_fit_inputs(x, w)
     init = fit_logistic_irls(x, w)
     X = _design(x)
-    m = X.shape[1]
 
-    beta = init.coefficients.copy()
-    g = _balance_conditions(X, w, beta)
-    f = 0.5 * float(g @ g)
-    grad = _balance_jacobian(X, w, beta) @ g
-    H = np.eye(m)  # inverse-Hessian approximation
-
-    g_norm = float(np.max(np.abs(g)))
-    for it in range(1, max_iter + 1):
-        if g_norm < tol:
-            return PropensityFit(
-                scores=expit(X @ beta), coefficients=beta, method="cbps",
-                converged=True, iterations=it - 1, objective=g_norm,
-            )
-        direction = -H @ grad
-        slope = float(grad @ direction)
-        if slope >= 0.0:  # lost positive definiteness; reset
-            H = np.eye(m)
-            direction = -grad
-            slope = -float(grad @ grad)
-        step = 1.0
-        for _ in range(40):
-            cand = beta + step * direction
-            g_cand = _balance_conditions(X, w, cand)
-            f_cand = 0.5 * float(g_cand @ g_cand)
-            if np.isfinite(f_cand) and f_cand <= f + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            # No acceptable step: report the best point found.
-            return PropensityFit(
-                scores=expit(X @ beta), coefficients=beta, method="cbps",
-                converged=False, iterations=it, objective=g_norm,
-            )
-        grad_cand = _balance_jacobian(X, w, cand) @ g_cand
-        s = step * direction
-        yvec = grad_cand - grad
-        sy = float(s @ yvec)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yvec)):
-            rho = 1.0 / sy
-            V = np.eye(m) - rho * np.outer(s, yvec)
-            H = V @ H @ V.T + rho * np.outer(s, s)
-        beta, g, f, grad = cand, g_cand, f_cand, grad_cand
+    def newton_step(beta):
+        g, jac = _balance_conditions(X, w, beta, jacobian=True)
         g_norm = float(np.max(np.abs(g)))
-        if float(np.max(np.abs(beta))) > _SEPARATION_NORM:
-            raise SeparationError(
-                f"coefficient norm exceeded {_SEPARATION_NORM:g}; data are separated"
-            )
-    converged = g_norm < tol
-    return PropensityFit(
-        scores=expit(X @ beta), coefficients=beta, method="cbps",
-        converged=converged, iterations=max_iter, objective=g_norm,
+        if g_norm < tol:
+            return None, g_norm
+        return np.linalg.solve(jac, -g), g_norm
+
+    def merit(beta):
+        g = _balance_conditions(X, w, beta)
+        return 0.5 * float(g @ g)
+
+    return _newton(
+        "cbps", X, init.coefficients, newton_step, merit,
+        # Armijo with c = 1e-4: along the Newton step the merit f has
+        # slope -||g||^2 = -2f
+        lambda new, old, scale: new <= old * (1.0 - 2e-4 * scale),
+        max_iter,
     )
 
 
@@ -275,7 +269,7 @@ def truncate_scores(fit: PropensityFit, lo: float, hi: float) -> PropensityFit:
         raise EstimationError(f"truncation bounds must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
     clipped = int(np.count_nonzero((fit.scores < lo) | (fit.scores > hi)))
     if clipped == 0:
-        return dataclasses.replace(fit, clamped=fit.clamped)
+        return fit
     return dataclasses.replace(fit, scores=np.clip(fit.scores, lo, hi), clamped=fit.clamped + clipped)
 
 

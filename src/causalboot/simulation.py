@@ -324,14 +324,13 @@ def benchmark_timing(
     ns: list[int],
     estimators: list[str],
     s_values: list[int],
-    p: int,
+    ps: list[int],
     reps: int,
     seed: int,
     r: int = 100,
     grid: bool = False,
-    grid_ps: list[int] | None = None,
 ) -> list[TimingCell]:
-    """Wall-time benchmark over (n, method, s) cells.
+    """Wall-time benchmark over (n, p, method, s) cells.
 
     Standard mode times full runs with the comparable-size convention
     b = n/s.  Grid mode reproduces the wide-data exercise: for each
@@ -343,7 +342,6 @@ def benchmark_timing(
     for s in s_values:
         if s < 1:
             raise ConfigError(f"subset count must be at least 1, got {s}")
-    ps = grid_ps if (grid and grid_ps) else [p]
     cells: list[TimingCell] = []
     for n_index, n in enumerate(ns):
         for p_index, p_val in enumerate(ps):

@@ -220,7 +220,7 @@ def test_constant_outcome_is_zero():
 @pytest.fixture(scope="module")
 def timing_cells():
     cells = benchmark_timing(
-        [20000], ["logistic", "cbps"], [2, 10], p=2, reps=20, seed=5005
+        [20000], ["logistic", "cbps"], [2, 10], ps=[2], reps=20, seed=5005
     )
     return {(c.method, c.s): c.median_seconds for c in cells}
 

@@ -358,3 +358,15 @@ class TestBenchmarkGrid:
         assert {(row[1], row[3]) for row in rows} == {("2", "3"), ("10", "3"), ("50", "3")}
         document = json.loads((tmp_path / "benchmark_summary.json").read_text())
         assert document["manifest"]["config"]["subsets"] == [3]
+
+    def test_grid_honours_explicit_p(self, tmp_path):
+        code = main(
+            ["benchmark", "--ns", "4000", "--methods", "logistic", "--grid", "--p", "2",
+             "--reps", "1", "--output", str(tmp_path)]
+        )
+        assert code == 0
+        with open(tmp_path / "timings.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert {(row[1], row[3]) for row in rows} == {("2", "2"), ("2", "4")}
+        document = json.loads((tmp_path / "benchmark_summary.json").read_text())
+        assert document["manifest"]["config"]["p"] == [2]

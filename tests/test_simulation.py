@@ -188,7 +188,7 @@ class TestOracleInterval:
 
 class TestBenchmarkTiming:
     def test_standard_mode_cells(self):
-        cells = benchmark_timing([1000], ["logistic", "marginal"], [2, 4], p=2, reps=2, seed=0, r=20)
+        cells = benchmark_timing([1000], ["logistic", "marginal"], [2, 4], ps=[2], reps=2, seed=0, r=20)
         assert len(cells) == 4
         for cell in cells:
             assert len(cell.seconds) == 2
@@ -197,14 +197,14 @@ class TestBenchmarkTiming:
 
     def test_grid_mode_times_fits_only(self):
         cells = benchmark_timing(
-            [800], ["logistic"], [2, 4], p=2, reps=2, seed=0, grid=True, grid_ps=[2, 5]
+            [800], ["logistic"], [2, 4], ps=[2, 5], reps=2, seed=0, grid=True
         )
         assert {(c.p, c.s) for c in cells} == {(2, 2), (2, 4), (5, 2), (5, 4)}
 
     def test_reps_validated(self):
         with pytest.raises(ConfigError):
-            benchmark_timing([1000], ["logistic"], [2], p=2, reps=0, seed=0)
+            benchmark_timing([1000], ["logistic"], [2], ps=[2], reps=0, seed=0)
 
     def test_subset_counts_validated(self):
         with pytest.raises(ConfigError):
-            benchmark_timing([1000], ["logistic"], [2, 0], p=2, reps=1, seed=0)
+            benchmark_timing([1000], ["logistic"], [2, 0], ps=[2], reps=1, seed=0)
