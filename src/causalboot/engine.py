@@ -14,12 +14,16 @@ whole-subset Hajek estimate) are averaged across subsets.
 ``iter_subsets`` is the one subset pipeline and ``run_subset`` the one
 replicate kernel; ``run_blb`` folds the former into a ``BlbEstimate``,
 and the relative-error study in ``simulation`` folds it into running
-intervals.
+intervals.  ``draw_arm_totals`` is the only place replicate counts are
+drawn: it draws an arm's count vectors in blocks of rows and reduces
+each block to its row totals at once, so a worker holds one block of
+about ``_BLOCK_CELLS`` counts plus the r totals, whatever r and b are.
 
 Every random draw comes from a substream keyed by (seed, subset,
-attempt), with a subset's replicates drawn in a fixed batched order
-from its own stream, so results are bit-identical regardless of thread
-count or scheduling.
+attempt), with a subset's replicates drawn in a fixed order from its
+own stream, and the totals are summed row by row without BLAS, so
+results are bit-identical regardless of thread count, BLAS thread
+count, block size or scheduling.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ from .propensity import (
     normalized_weights,
     truncate_scores,
 )
+
+# Counts per replicate block: 2 MB of int64 counts, and as much again
+# for their product with the outcomes.
+_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,30 @@ def order_subset(
     )
 
 
+def draw_arm_totals(
+    stream: np.random.Generator,
+    n_arm: int,
+    w: np.ndarray,
+    y: np.ndarray,
+    r: int,
+) -> np.ndarray:
+    """Totals sum_i(M_i * y_i) of ``r`` multinomial(n_arm, w) count vectors.
+
+    The vectors are drawn from ``stream`` in blocks of rows, each block
+    reduced to its row totals before the next is drawn, so no r x b
+    matrix is ever alive.  numpy's multinomial is row-sequential, so the
+    blocks consume the stream exactly as one ``size=r`` call would, and
+    each row is summed on its own (numpy's pairwise sum, not BLAS): the
+    totals do not depend on the block size.
+    """
+    rows = max(1, _BLOCK_CELLS // len(w))
+    totals = np.empty(r)
+    for start in range(0, r, rows):
+        counts = stream.multinomial(n_arm, w, size=min(rows, r - start))
+        totals[start : start + counts.shape[0]] = (counts * y).sum(axis=1)
+    return totals
+
+
 def run_subset(
     subsetfit: SubsetFit,
     r: int,
@@ -171,18 +203,16 @@ def run_subset(
 ) -> SubsetEstimate:
     """Draw ``r`` replicate count pairs and summarize their estimates.
 
-    All r treated count vectors are drawn in one batched call, then all
-    r control vectors, from the subset's dedicated substream; the result
-    depends only on (stream state, r) and never on scheduling.
+    All r treated count vectors are drawn, then all r control vectors,
+    from the subset's dedicated substream, each arm by
+    ``draw_arm_totals``; the result depends only on (stream state, r)
+    and never on scheduling, block size or the BLAS thread count.
     """
     if r < 2:
         raise EstimationError(f"need at least 2 replicates, got {r}")
-    w0, w1 = subsetfit.weights.w0, subsetfit.weights.w1
-    y0, y1 = subsetfit.y0, subsetfit.y1
-    # Each arm's r x b count matrix is reduced to its totals before the
-    # next is drawn, so only one arm's counts are alive at a time.
-    t1 = stream.multinomial(n1, w1, size=r) @ y1
-    t0 = stream.multinomial(n0, w0, size=r) @ y0
+    weights = subsetfit.weights
+    t1 = draw_arm_totals(stream, n1, weights.w1, subsetfit.y1, r)
+    t0 = draw_arm_totals(stream, n0, weights.w0, subsetfit.y0, r)
     draws = t1 / n1 - t0 / n0
     mean = float(draws.mean())
     se = float(draws.std(ddof=1))

@@ -23,10 +23,12 @@ from scipy.special import expit
 from .config import CBPS_MAX_ITER, CBPS_TOL, IRLS_MAX_ITER, IRLS_TOL
 from .errors import DataError, EstimationError, SeparationError
 
-# Coefficient max-norm beyond which a logistic fit is declared separated.
-_SEPARATION_NORM = 1e4
+# Linear-predictor max-norm max|X beta| beyond which a logistic fit is
+# declared separated (a score within 4e-44 of 0 or 1).  Bounding X beta
+# rather than beta leaves the guard independent of the covariates' units.
+_SEPARATION_ETA = 100.0
 # A fit whose probabilities all match the outcomes this closely is a
-# perfect classifier: separation that stops short of the norm bound.
+# perfect classifier: separation that stops short of the predictor bound.
 _SATURATION_TOL = 1e-5
 # Clip for propensities inside optimization objectives only; final scores
 # are bounded by truncation instead.
@@ -108,8 +110,8 @@ def _newton(method, X, beta, newton_step, merit, accept, max_iter) -> Propensity
     once that norm is below the fit's tolerance.  Each step is halved
     until ``accept(merit(candidate), merit(beta), scale)`` holds; when 40
     halvings find no such candidate the current point is returned as not
-    converged.  A coefficient max-norm beyond ``_SEPARATION_NORM``, a
-    singular Jacobian or a fitted score of exactly 0 or 1 raises
+    converged.  A linear predictor max|X beta| beyond ``_SEPARATION_ETA``,
+    a singular Jacobian or a fitted score of exactly 0 or 1 raises
     ``SeparationError``.  The fit's ``objective`` is the residual norm
     at the returned coefficients.
     """
@@ -136,9 +138,9 @@ def _newton(method, X, beta, newton_step, merit, accept, max_iter) -> Propensity
             iterations = it + 1
             break
         beta, value = cand, cand_value
-        if float(np.max(np.abs(beta))) > _SEPARATION_NORM:
+        if float(np.max(np.abs(X @ beta))) > _SEPARATION_ETA:
             raise SeparationError(
-                f"coefficient norm exceeded {_SEPARATION_NORM:g}; data are separated"
+                f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
             )
     scores = expit(X @ beta)
     if not ((scores > 0.0) & (scores < 1.0)).all():
@@ -158,7 +160,7 @@ def fit_logistic_irls(
     """Fit a logistic propensity model by Newton/IRLS.
 
     Convergence is declared when the max-norm of the score vector
-    X'(w - pi) falls below ``tol``.  Divergence of the coefficient norm
+    X'(w - pi) falls below ``tol``.  Divergence of the linear predictor
     signals perfect separation and raises ``SeparationError``.
     """
     x, w = _check_fit_inputs(x, w)

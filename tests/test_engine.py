@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalboot as cb
+from causalboot import engine
 from causalboot import rng as cbrng
 from causalboot.engine import SubsetFit, order_subset, run_blb, run_subset
 from causalboot.errors import DegenerateSubsetError, EstimationError, RedrawBudgetError
 from causalboot.propensity import ArmWeights, PropensityFit, fit_logistic_irls, normalized_weights, truncate_scores
 from causalboot.simulation import generate_dgm
-
-from oracles import replicate_estimate_longhand
 
 
 def constant_fit(scores):
@@ -40,6 +44,15 @@ def make_subsetfit(y0, y1, w0=None, w1=None):
         b1=b1,
         weights=ArmWeights(w0=w0, w1=w1),
         fit=constant_fit(np.full(b0 + b1, 0.5)),
+    )
+
+
+def random_subsetfit(seed, b0, b1):
+    """SubsetFit with standard-normal outcomes and Dirichlet(1) weights."""
+    gen = np.random.default_rng(seed)
+    return make_subsetfit(
+        gen.standard_normal(b0), gen.standard_normal(b1),
+        gen.dirichlet(np.ones(b0)), gen.dirichlet(np.ones(b1)),
     )
 
 
@@ -232,7 +245,8 @@ class TestRunSubset:
 
     def test_draws_match_longhand_on_redrawn_counts(self):
         # Pins the stream layout: from the subset's replicate stream, all
-        # r treated count vectors are drawn first, then all r control ones.
+        # r treated count vectors are drawn first, then all r control ones,
+        # and each replicate's totals are its own row's sum.
         r = 25
         for case in range(20):
             stream = cbrng.substream(31, 2, case, 0)
@@ -247,15 +261,76 @@ class TestRunSubset:
             redraw = cbrng.substream(31, 2, case, 1)
             m1 = redraw.multinomial(n1, sf.weights.w1, size=r)
             m0 = redraw.multinomial(n0, sf.weights.w0, size=r)
-            expected = [
-                replicate_estimate_longhand(m0[j], m1[j], y0, y1, n0, n1) for j in range(r)
-            ]
-            np.testing.assert_allclose(est.draws, expected, rtol=0, atol=1e-12)
+            expected = [np.sum(m1[j] * y1) / n1 - np.sum(m0[j] * y0) / n0 for j in range(r)]
+            np.testing.assert_array_equal(est.draws, expected)
+
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch):
+        # arms of 7,000 and 5,000 rows: the default block splits r=100
+        # into 37+37+26 and 52+48 rows; one row per block and all r rows
+        # in one block must give the same bytes
+        b0, b1, r = 7000, 5000, 100
+        sf = random_subsetfit(4, b0, b1)
+
+        def draws():
+            return run_subset(sf, r, 9 * b0, 9 * b1, 0.05, cbrng.substream(8, 2, 0, 0)).draws
+
+        default = draws()
+        for cells in (1, r * b0):
+            monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+            assert draws().tobytes() == default.tobytes()
+
+    def test_traced_peak_is_one_block_not_the_count_matrix(self):
+        # r x b int64 counts per arm would be 64 x 50,000 x 8 B = 24 MiB,
+        # and their float product as much again; one block of the kernel
+        # is 2 MiB of counts plus 2 MiB of products
+        sf = random_subsetfit(6, 50_000, 50_000)
+        tracemalloc.start()
+        try:
+            run_subset(sf, 64, 400_000, 400_000, 0.05, cbrng.substream(9, 2, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_replicate_minimum(self):
         sf = make_subsetfit([1.0], [2.0])
         with pytest.raises(EstimationError):
             run_subset(sf, 1, 5, 5, 0.05, cbrng.substream(0, 2, 0, 0))
+
+
+# Hashes run_subset's draws at r=100, b0=b1=40,000, n0=n1=320,000, sizes at
+# which a BLAS matvec over the count matrix splits its work across threads.
+_HASH_DRAWS = """
+import hashlib
+from causalboot import rng
+from causalboot.engine import run_subset
+from test_engine import random_subsetfit
+
+sf = random_subsetfit(12, 40_000, 40_000)
+draws = run_subset(sf, 100, 320_000, 320_000, 0.05, rng.substream(12, 2, 0, 0)).draws
+print(hashlib.sha256(draws.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_draws_do_not_depend_on_the_blas_thread_count(self):
+        """The same kernel run under one and two OpenBLAS threads.
+
+        The pool size is fixed when numpy loads, so each run is its own
+        process.  On a single CPU, or with a numpy not built on OpenBLAS,
+        the variable changes nothing and the test passes trivially.
+        """
+        src = Path(cb.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run(
+                [sys.executable, "-c", _HASH_DRAWS], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            )
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestIterSubsets:

@@ -65,7 +65,8 @@ class TestHostileDesigns:
                 continue
             assert np.isfinite(fit.scores).all()
             assert ((fit.scores > 0.0) & (fit.scores < 1.0)).all()
-            assert np.max(np.abs(fit.coefficients)) <= propensity._SEPARATION_NORM
+            eta = propensity._design(x) @ fit.coefficients
+            assert np.max(np.abs(eta)) <= propensity._SEPARATION_ETA
             if fit.converged:
                 assert fit.objective < tol
 
@@ -76,14 +77,27 @@ class TestHostileDesigns:
                 fit_fn(x, w)
 
     def test_diverging_coefficients_stop_at_the_norm_bound(self):
-        # complete separation on a covariate of scale 1e-3: each Newton
-        # step adds about 1e3 to the slope, so the bound is crossed long
-        # before the fitted scores saturate
+        # complete separation: the linear predictor's max-norm grows by up
+        # to about 30 per Newton step whatever the covariate's units, so
+        # its bound is crossed long before the fitted scores saturate
         z = np.random.default_rng(1).standard_normal(40)
-        x, w = 1e-3 * z.reshape(-1, 1), (z > 0).astype(int)
+        w = (z > 0).astype(int)
+        for scale in (1e-3, 1.0, 1e3):
+            for fit_fn, _ in FITS:
+                with pytest.raises(SeparationError, match="linear predictor"):
+                    fit_fn(scale * z.reshape(-1, 1), w)
+
+    def test_covariate_in_small_units_is_not_separated(self):
+        # x = 1e-5 * z needs a slope near 1e5; the fit must not read that
+        # as separation, and its scores are those of the x = z fit
+        gen = np.random.default_rng(0)
+        z = gen.standard_normal(2000)
+        w = (gen.random(2000) < expit(z)).astype(int)
         for fit_fn, _ in FITS:
-            with pytest.raises(SeparationError, match="coefficient norm"):
-                fit_fn(x, w)
+            unit = fit_fn(z.reshape(-1, 1), w)
+            small = fit_fn(1e-5 * z.reshape(-1, 1), w)
+            assert small.converged
+            np.testing.assert_allclose(small.scores, unit.scores, rtol=0, atol=1e-6)
 
 
 class TestStoppingRules:

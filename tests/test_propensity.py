@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from causalboot import (
@@ -43,6 +44,25 @@ class TestLogisticIrls:
         fit = fit_logistic_irls(dgm_table.x, dgm_table.w)
         ref = sm.Logit(dgm_table.w, sm.add_constant(dgm_table.x)).fit(disp=0)
         np.testing.assert_allclose(fit.coefficients, ref.params, atol=1e-6)
+
+    def test_matches_scipy_minimize(self, dgm_table):
+        # the same log-likelihood maximized by BFGS with its analytic
+        # gradient X'(w - pi), run until that gradient is below 1e-10
+        X = _design(dgm_table.x)
+        w = dgm_table.w.astype(float)
+
+        def negloglik(beta):
+            eta = X @ beta
+            return float(np.sum(np.logaddexp(0.0, eta) - w * eta))
+
+        def gradient(beta):
+            return X.T @ (expit(X @ beta) - w)
+
+        ref = minimize(negloglik, np.zeros(X.shape[1]), jac=gradient, method="BFGS",
+                       options={"gtol": 1e-10, "maxiter": 1000})
+        assert np.max(np.abs(gradient(ref.x))) < 1e-8
+        fit = fit_logistic_irls(dgm_table.x, dgm_table.w)
+        np.testing.assert_allclose(fit.coefficients, ref.x, atol=1e-6)
 
     def test_gradient_below_tolerance_at_convergence(self, dgm_table):
         fit = fit_logistic_irls(dgm_table.x, dgm_table.w, tol=1e-8)
