@@ -15,9 +15,12 @@ whole-subset Hajek estimate) are averaged across subsets.
 replicate kernel; ``run_blb`` folds the former into a ``BlbEstimate``,
 and the relative-error study in ``simulation`` folds it into running
 intervals.  ``draw_arm_totals`` is the only place replicate counts are
-drawn: it draws an arm's count vectors in blocks of rows and reduces
-each block to its row totals at once, so a worker holds one block of
-about ``_BLOCK_CELLS`` counts plus the r totals, whatever r and b are.
+drawn.  It draws them exactly by Poissonization: Poisson counts whose
+sum falls short of the arm size, topped up by categorical draws, with
+the rare row that overshoots replaced by a fresh multinomial row.  It
+works in blocks of rows and reduces each block to its row totals at
+once, so a worker holds one block of about ``_BLOCK_CELLS`` counts or
+top-up draws plus the r totals, whatever r and b are.
 
 Every random draw comes from a substream keyed by (seed, subset,
 attempt), with a subset's replicates drawn in a fixed order from its
@@ -28,6 +31,7 @@ count, block size or scheduling.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -52,8 +56,14 @@ from .propensity import (
 )
 
 # Counts per replicate block: 2 MB of int64 counts, and as much again
-# for their product with the outcomes.
+# for their product with the outcomes.  Pass 2 of ``draw_arm_totals``
+# holds about as many top-up draws.
 _BLOCK_CELLS = 2**18
+# A Poisson row more than this many counts short of n_arm is redrawn
+# whole rather than topped up, which bounds the draws one row needs.
+# A row's shortfall averages 2 sqrt(n_arm), with SD about sqrt(n_arm),
+# so below a billion units per arm fewer than 1 row in 10**9 is.
+_TOPUP_MAX = 2**18
 
 
 @dataclass(frozen=True)
@@ -176,19 +186,75 @@ def draw_arm_totals(
 ) -> np.ndarray:
     """Totals sum_i(M_i * y_i) of ``r`` multinomial(n_arm, w) count vectors.
 
-    The vectors are drawn from ``stream`` in blocks of rows, each block
-    reduced to its row totals before the next is drawn, so no r x b
-    matrix is ever alive.  numpy's multinomial is row-sequential, so the
-    blocks consume the stream exactly as one ``size=r`` call would, and
-    each row is summed on its own (numpy's pairwise sum, not BLAS): the
-    totals do not depend on the block size.
+    The counts are drawn by Poissonization, in two passes over the rows.
+    Pass 1 draws each row's counts as independent Poisson(lam * w_i),
+    lam = max(0, n_arm - 2 sqrt(n_arm)), in blocks of rows, and keeps
+    each row's total and its count sum S.  Pass 2 goes through the rows
+    in order: a row with 0 <= n_arm - S <= ``_TOPUP_MAX`` gets n_arm - S
+    categorical draws from ``w``, and the sum of their outcomes, taken
+    in draw order, is added to its total; any other row (in practice one
+    with S > n_arm, about 2.3% of rows) is replaced by one fresh
+    ``multinomial(n_arm, w)`` row.
+
+    This is exact.  Given S = s, Poisson counts are multinomial(s, w),
+    and adding an independent multinomial(n_arm - s, w) makes them
+    multinomial(n_arm, w); a replaced row is multinomial(n_arm, w)
+    outright, and which rows are replaced depends on S alone.
+
+    No r x b matrix is ever alive: pass 1 holds one block of about
+    ``_BLOCK_CELLS`` counts, pass 2 about as many top-up draws.  Both
+    passes consume the stream element by element and each row is summed
+    on its own, so the totals do not depend on the block size.
     """
-    rows = max(1, _BLOCK_CELLS // len(w))
-    totals = np.empty(r)
-    for start in range(0, r, rows):
-        counts = stream.multinomial(n_arm, w, size=min(rows, r - start))
-        totals[start : start + counts.shape[0]] = (counts * y).sum(axis=1)
+    totals, short = _poisson_rows(stream, n_arm, w, y, r)
+    _top_up_rows(stream, n_arm, w, y, totals, short)
     return totals
+
+
+def _poisson_rows(stream, n_arm, w, y, r):
+    """Pass 1: each row's total and shortfall n_arm - S, block by block."""
+    b = len(w)
+    mean = max(0.0, n_arm - 2.0 * math.sqrt(n_arm)) * w
+    rows = max(1, _BLOCK_CELLS // b)
+    totals = np.empty(r)
+    short = np.empty(r, dtype=np.int64)
+    for start in range(0, r, rows):
+        counts = stream.poisson(mean, size=(min(rows, r - start), b))
+        stop = start + counts.shape[0]
+        totals[start:stop] = (counts * y).sum(axis=1)
+        short[start:stop] = n_arm - counts.sum(axis=1)
+    return totals, short
+
+
+def _top_up_rows(stream, n_arm, w, y, totals, short):
+    """Pass 2: top up or replace each row in order, block by block."""
+    r = len(totals)
+    redraw = (short < 0) | (short > _TOPUP_MAX)
+    short[redraw] = 0
+    ends = np.cumsum(short)  # top-up draws through each row
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]  # so every uniform in [0, 1) picks a cell
+    start = 0
+    while start < r:
+        # rows start..stop-1: as many as one block of draws holds, at least one
+        base = int(ends[start] - short[start])
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK_CELLS, side="right")))
+        drawn = np.empty(int(ends[stop - 1]) - base)
+        redrawn = np.flatnonzero(redraw[start:stop]) + start
+        refills = np.empty(len(redrawn))
+        filled = 0
+        for j, i in enumerate(redrawn):
+            upto = int(ends[i]) - base
+            stream.random(out=drawn[filled:upto])
+            refills[j] = (stream.multinomial(n_arm, w) * y).sum()
+            filled = upto
+        stream.random(out=drawn[filled:])
+        # the drawn cells' outcomes, in place (every index is in range)
+        np.take(y, cdf.searchsorted(drawn, side="right"), out=drawn, mode="clip")
+        owner = np.repeat(np.arange(stop - start), short[start:stop])
+        totals[start:stop] += np.bincount(owner, weights=drawn, minlength=stop - start)
+        totals[redrawn] = refills
+        start = stop
 
 
 def run_subset(

@@ -194,8 +194,10 @@ def fit_logistic_irls(
 def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray, jacobian: bool = False):
     """Just-identified ATE balance moments g(beta), intercept included.
 
-    With ``jacobian`` also returns their Jacobian from the same pi:
-    J(beta) = -X'DX/b with D = w(1 - pi)/pi + (1 - w)pi/(1 - pi).
+    With ``jacobian`` also returns a function that builds their Jacobian
+    from the same pi, J(beta) = -X'DX/b with
+    D = w(1 - pi)/pi + (1 - w)pi/(1 - pi), so that an iterate which
+    stops the fit never pays for X'DX.
     """
     b = X.shape[0]
     with np.errstate(divide="ignore", over="ignore"):
@@ -204,8 +206,12 @@ def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray, jacobian
     g = (X.T @ coef) / b
     if not jacobian:
         return g
-    d = w * (1.0 - pi) / pi + (1.0 - w) * pi / (1.0 - pi)
-    return g, -(X.T @ (X * d[:, None])) / b
+
+    def build_jacobian():
+        d = w * (1.0 - pi) / pi + (1.0 - w) * pi / (1.0 - pi)
+        return -(X.T @ (X * d[:, None])) / b
+
+    return g, build_jacobian
 
 
 def fit_cbps(
@@ -232,11 +238,11 @@ def fit_cbps(
     X = _design(x)
 
     def newton_step(beta):
-        g, jac = _balance_conditions(X, w, beta, jacobian=True)
+        g, jacobian = _balance_conditions(X, w, beta, jacobian=True)
         g_norm = float(np.max(np.abs(g)))
         if g_norm < tol:
             return None, g_norm
-        return np.linalg.solve(jac, -g), g_norm
+        return np.linalg.solve(jacobian(), -g), g_norm
 
     def merit(beta):
         g = _balance_conditions(X, w, beta)

@@ -2,9 +2,12 @@
 
 Every random draw in the package comes from a substream addressed by a
 root seed plus a small integer key such as (domain, subset, attempt).
-Keys are mapped to independent Philox streams through
+Keys are mapped to independent SFC64 streams through
 ``numpy.random.SeedSequence`` spawn keys, so results are a pure function
-of (seed, key) and never depend on scheduling or thread count.
+of (seed, key) and never depend on scheduling or thread count.  SFC64
+is a small, fast chaotic generator; the replicate kernel spends most
+of its time drawing Poisson variates, about lam + 1 uniforms each, so
+the speed of the bit generator sets the speed of resampling.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent counter-based generator for (seed, key)."""
-    return np.random.Generator(np.random.Philox(seed_sequence(seed, *key)))
+    """Independent SFC64 generator for (seed, key)."""
+    return np.random.Generator(np.random.SFC64(seed_sequence(seed, *key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -6,6 +6,7 @@ compare package output against these, never the other way around.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,53 @@ def logistic_fisher_se(x_design, scores):
     lam = scores * (1.0 - scores)
     info = x_design.T @ (x_design * lam[:, None])
     return np.sqrt(np.diag(np.linalg.inv(info)))
+
+
+def multinomial_pmf(n, w):
+    """Exact multinomial(n, w) pmf as a dict from count tuples, by enumeration."""
+    pmf = {}
+    for counts in itertools.product(range(n + 1), repeat=len(w)):
+        if sum(counts) == n:
+            p = float(math.factorial(n))
+            for c, wi in zip(counts, w):
+                p *= wi**c / math.factorial(c)
+            pmf[counts] = p
+    return pmf
+
+
+def poissonized_totals_longhand(stream, n_arm, w, y, r, topup_max):
+    """An arm's r replicate totals drawn row by row, Poissonized.
+
+    Restates ``draw_arm_totals``' stream layout with loops.  First, row
+    by row, a vector of independent Poisson(lam * w_i) counts with
+    lam = max(0, n_arm - 2 sqrt(n_arm)).  Then, row by row again: a row
+    short of n_arm by 0..``topup_max`` counts draws that many uniforms,
+    each picking the first cell whose cumulative weight exceeds it, and
+    adds the picked outcomes in order to sum(counts * y); any other row
+    is replaced by one multinomial(n_arm, w) row, summed the same way.
+    Returns the totals and the number of replaced rows.
+    """
+    lam = max(0.0, n_arm - 2.0 * math.sqrt(n_arm))
+    poisson_rows = [stream.poisson(lam * np.asarray(w)) for _ in range(r)]
+    cdf = np.cumsum(w)
+    cdf = cdf / cdf[-1]
+    totals = []
+    replaced = 0
+    for counts in poisson_rows:
+        short = n_arm - int(sum(counts))
+        if short < 0 or short > topup_max:
+            totals.append(float(np.sum(stream.multinomial(n_arm, w) * y)))
+            replaced += 1
+            continue
+        topped = 0.0
+        for _ in range(short):
+            u = stream.random()
+            cell = 0
+            while cdf[cell] <= u:
+                cell += 1
+            topped += y[cell]
+        totals.append(float(np.sum(counts * y)) + topped)
+    return totals, replaced
 
 
 # Monte-Carlo oracle for Cov(X1, W) under the confounded assignment

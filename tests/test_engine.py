@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.stats import chisquare
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import causalboot as cb
@@ -17,6 +20,7 @@ from causalboot.engine import SubsetFit, order_subset, run_blb, run_subset
 from causalboot.errors import DegenerateSubsetError, EstimationError, RedrawBudgetError
 from causalboot.propensity import ArmWeights, PropensityFit, fit_logistic_irls, normalized_weights, truncate_scores
 from causalboot.simulation import generate_dgm
+from oracles import multinomial_pmf, poissonized_totals_longhand
 
 
 def constant_fit(scores):
@@ -136,6 +140,62 @@ class TestDrawMultinomial:
         assert not np.array_equal(a.draws, c.draws)
 
 
+class TestPoissonizedLaw:
+    """draw_arm_totals' counts are exactly multinomial(n_arm, w)."""
+
+    @pytest.mark.parametrize(
+        "n_arm, w, topup_max",
+        [
+            (6, (0.1, 0.2, 0.3, 0.4), None),   # lam = 1.1
+            (4, (0.5, 0.3, 0.2), None),        # lam = 0: top-ups only
+            (5, (0.7, 0.3), None),
+            (6, (0.15, 0.25, 0.6), 0),         # every short row replaced
+            (3, (0.2, 0.2, 0.2, 0.4), 1),
+        ],
+    )
+    def test_totals_follow_the_multinomial_pmf(self, monkeypatch, n_arm, w, topup_max):
+        # outcomes (n_arm + 1)**i make each total the base-(n_arm + 1)
+        # code of its count vector
+        if topup_max is not None:
+            monkeypatch.setattr(engine, "_TOPUP_MAX", topup_max)
+        r, base = 20_000, n_arm + 1
+        y = np.asarray([float(base**i) for i in range(len(w))])
+        totals = engine.draw_arm_totals(cbrng.substream(13, 2, n_arm, len(w)), n_arm, np.asarray(w), y, r)
+        pmf = {sum(c * base**i for i, c in enumerate(counts)): p
+               for counts, p in multinomial_pmf(n_arm, w).items()}
+        seen = Counter(int(t) for t in totals)
+        assert set(seen) <= set(pmf)
+        # cells expected fewer than 5 times are pooled into one
+        big = [c for c in pmf if r * pmf[c] >= 5]
+        small = [c for c in pmf if r * pmf[c] < 5]
+        observed = [seen[c] for c in big]
+        expected = [r * pmf[c] for c in big]
+        if small:
+            observed.append(sum(seen[c] for c in small))
+            expected.append(r * sum(pmf[c] for c in small))
+        assert chisquare(observed, expected).pvalue > 1e-3
+
+    @given(
+        n_arm=st.one_of(st.integers(1, 4), st.integers(5, 100), st.integers(101, 5000)),
+        b=st.integers(1, 6),
+        r=st.integers(1, 60),
+        topup_max=st.sampled_from([0, 3, engine._TOPUP_MAX]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_arm=3, b=2, r=10, topup_max=engine._TOPUP_MAX, seed=0)     # lam = 0
+    @example(n_arm=7, b=1, r=10, topup_max=engine._TOPUP_MAX, seed=1)     # one cell
+    @example(n_arm=40, b=6, r=60, topup_max=engine._TOPUP_MAX, seed=2)    # lam * w < 10
+    @example(n_arm=5000, b=2, r=60, topup_max=engine._TOPUP_MAX, seed=3)  # lam * w >= 10
+    @example(n_arm=500, b=3, r=60, topup_max=0, seed=4)                   # rows replaced
+    @settings(max_examples=200, deadline=None)
+    def test_count_readout_sums_to_the_arm_size(self, n_arm, b, r, topup_max, seed):
+        stream = cbrng.substream(seed, 2, 0, 0)
+        w = stream.dirichlet(np.ones(b))
+        with mock.patch.object(engine, "_TOPUP_MAX", topup_max):
+            totals = engine.draw_arm_totals(stream, n_arm, w, np.ones(b), r)
+        assert totals.tolist() == [float(n_arm)] * r
+
+
 class TestReplicateEstimate:
     def test_two_unit_subset_is_deterministic(self):
         sf = make_subsetfit([1.0], [3.0])
@@ -211,6 +271,16 @@ class TestEstimatorAlgebra:
         assert (lo - 1e-12 <= draws).all() and (draws <= hi + 1e-12).all()
 
 
+def traced_peak(sf, r, n_arm):
+    """tracemalloc peak of run_subset with both arms at size ``n_arm``."""
+    tracemalloc.start()
+    try:
+        run_subset(sf, r, n_arm, n_arm, 0.05, cbrng.substream(9, 2, 0, 0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRunSubset:
     def test_bit_identical_reruns(self):
         sf = make_subsetfit([1.0, 2.0, 3.0], [4.0, 5.0])
@@ -243,39 +313,52 @@ class TestRunSubset:
                 failures += 1
         assert failures <= 1
 
-    def test_draws_match_longhand_on_redrawn_counts(self):
-        # Pins the stream layout: from the subset's replicate stream, all
-        # r treated count vectors are drawn first, then all r control ones,
-        # and each replicate's totals are its own row's sum.
+    def test_draws_match_the_poissonized_longhand(self):
+        # Pins the stream layout: from the subset's replicate stream, the
+        # treated arm's r Poisson rows, then its top-ups and replaced rows
+        # in row order, then the same for the control arm.
         r = 25
-        for case in range(20):
+        replaced = lambda_zero = 0
+        for case in range(24):
+            # every fourth case has arms of at most 4, where lam = 0
+            top = 5 if case % 4 == 0 else 200
             stream = cbrng.substream(31, 2, case, 0)
-            b0, b1 = (int(v) for v in stream.integers(1, 9, size=2))
+            b0, b1 = (int(v) for v in stream.integers(1, min(top, 9), size=2))
             y0 = stream.uniform(-10.0, 10.0, size=b0)
             y1 = stream.uniform(-10.0, 10.0, size=b1)
-            n0, n1 = (int(v) for v in stream.integers(10, 200, size=2))
+            n0, n1 = int(stream.integers(b0, top)), int(stream.integers(b1, top))
             sf = make_subsetfit(
                 y0, y1, stream.dirichlet(np.ones(b0)), stream.dirichlet(np.ones(b1))
             )
             est = run_subset(sf, r, n0, n1, 0.05, cbrng.substream(31, 2, case, 1))
             redraw = cbrng.substream(31, 2, case, 1)
-            m1 = redraw.multinomial(n1, sf.weights.w1, size=r)
-            m0 = redraw.multinomial(n0, sf.weights.w0, size=r)
-            expected = [np.sum(m1[j] * y1) / n1 - np.sum(m0[j] * y0) / n0 for j in range(r)]
+            t1, k1 = poissonized_totals_longhand(redraw, n1, sf.weights.w1, y1, r, engine._TOPUP_MAX)
+            t0, k0 = poissonized_totals_longhand(redraw, n0, sf.weights.w0, y0, r, engine._TOPUP_MAX)
+            expected = [t1[j] / n1 - t0[j] / n0 for j in range(r)]
             np.testing.assert_array_equal(est.draws, expected)
+            replaced += k1 + k0
+            lambda_zero += (n0 <= 4) + (n1 <= 4)
+        assert replaced > 0 and lambda_zero > 0
 
     def test_draws_do_not_depend_on_the_block_size(self, monkeypatch):
         # arms of 7,000 and 5,000 rows: the default block splits r=100
-        # into 37+37+26 and 52+48 rows; one row per block and all r rows
-        # in one block must give the same bytes
+        # into 37+37+26 and 52+48 Poisson rows and tops them all up in one
+        # block; one row per block, blocks of about 7 rows' top-ups, and
+        # all r rows in one block must give the same bytes
         b0, b1, r = 7000, 5000, 100
         sf = random_subsetfit(4, b0, b1)
 
         def draws():
             return run_subset(sf, r, 9 * b0, 9 * b1, 0.05, cbrng.substream(8, 2, 0, 0)).draws
 
+        # the first arm drawn has rows more than n1 counts long, which
+        # are replaced by fresh multinomial rows
+        lam = 9 * b1 - 2.0 * np.sqrt(9 * b1)
+        poisson_rows = cbrng.substream(8, 2, 0, 0).poisson(lam * sf.weights.w1, size=(r, b1))
+        assert (poisson_rows.sum(axis=1) > 9 * b1).any()
+
         default = draws()
-        for cells in (1, r * b0):
+        for cells in (1, 3000, r * b0):
             monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
             assert draws().tobytes() == default.tobytes()
 
@@ -284,13 +367,13 @@ class TestRunSubset:
         # and their float product as much again; one block of the kernel
         # is 2 MiB of counts plus 2 MiB of products
         sf = random_subsetfit(6, 50_000, 50_000)
-        tracemalloc.start()
-        try:
-            run_subset(sf, 64, 400_000, 400_000, 0.05, cbrng.substream(9, 2, 0, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert traced_peak(sf, 64, 400_000) < 8 * 2**20
+
+    def test_traced_peak_is_one_block_of_top_up_draws(self):
+        # 5,000 rows per arm, each about 2 sqrt(1e6) = 2,000 counts short
+        # of n: 10M top-up draws per arm, 80 MB if drawn at once
+        sf = random_subsetfit(7, 500, 500)
+        assert traced_peak(sf, 5000, 1_000_000) < 8 * 2**20
 
     def test_replicate_minimum(self):
         sf = make_subsetfit([1.0], [2.0])

@@ -120,6 +120,22 @@ class TestStoppingRules:
         assert result.diagnostics["nonconverged_fits"] == 0
         assert all(0 < e.fit_iterations <= 4 for e in result.subsets)
 
+    def test_cbps_builds_a_jacobian_only_for_a_step(self, monkeypatch, dgm_table):
+        # X'DX is built once per step taken, never at the converged iterate
+        builds = []
+        balance = propensity._balance_conditions
+
+        def counted(X, w, beta, jacobian=False):
+            if not jacobian:
+                return balance(X, w, beta)
+            g, build = balance(X, w, beta, jacobian=True)
+            return g, lambda: builds.append(1) or build()
+
+        monkeypatch.setattr(propensity, "_balance_conditions", counted)
+        fit = fit_cbps(dgm_table.x, dgm_table.w)
+        assert fit.converged and fit.iterations >= 1
+        assert len(builds) == fit.iterations
+
     def test_cbps_steps_meet_the_armijo_condition(self, monkeypatch):
         # one covariate cell holds treated rows only, so the balance
         # conditions have no root and the merit 0.5*||g||^2 flattens out
