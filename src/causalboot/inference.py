@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import EstimationError
 from .propensity import ArmWeights
@@ -67,7 +67,7 @@ def asymptotic_ci(hajek: float, se: float, alpha: float) -> ConfidenceInterval:
         raise EstimationError(f"standard error must be nonnegative, got {se}")
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return ConfidenceInterval(hajek - z * se, hajek + z * se, kind="asymptotic", alpha=alpha)
 
 

@@ -18,7 +18,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .config import CBPS_MAX_ITER, CBPS_TOL, IRLS_MAX_ITER, IRLS_TOL
 from .errors import DataError, EstimationError, SeparationError
@@ -68,6 +67,17 @@ class ArmWeights:
                 raise EstimationError(f"{name} has negative or non-finite entries")
             if abs(arr.sum() - 1.0) > 1e-12:
                 raise EstimationError(f"{name} does not sum to 1")
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)).
+
+    It is exactly 0.0 below about -709.8, where exp overflows, and
+    exactly 1.0 above about 36.7, without a warning; the fits call a
+    score of exactly 0 or 1 separation.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _design(x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import rng
 from .config import BlbConfig, DEFAULT_TRUNCATION
@@ -22,7 +21,7 @@ from .data import ObservationTable
 from .engine import _fit_scores, iter_subsets, order_subset, run_blb
 from .errors import ConfigError, EstimationError
 from .inference import hajek_ipw, percentile_ci
-from .propensity import fit_logistic_irls, truncate_scores
+from .propensity import expit, fit_logistic_irls, truncate_scores
 
 TRUE_ATE = 2.0
 

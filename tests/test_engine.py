@@ -196,6 +196,43 @@ class TestPoissonizedLaw:
         assert totals.tolist() == [float(n_arm)] * r
 
 
+class TestSearchCdf:
+    """The top-up draws' guide-table lookup is searchsorted, exactly."""
+
+    @given(
+        b=st.one_of(st.integers(1, 2), st.integers(3, 400)),
+        spread=st.floats(0.0, 12.0),
+        dominant=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(b=1, spread=0.0, dominant=False, seed=0)
+    @example(b=2, spread=12.0, dominant=False, seed=1)
+    @example(b=3, spread=0.0, dominant=False, seed=2)     # (1 - 2**-53) * 3 rounds to 3
+    @example(b=400, spread=12.0, dominant=True, seed=3)   # most draws reach the fallback
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted(self, b, spread, dominant, seed):
+        # weight ratios up to 10**spread, optionally one cell 1e12 times
+        # heavier; the cdf is built as _top_up_rows builds it
+        gen = np.random.default_rng(seed)
+        w = 10.0 ** gen.uniform(0.0, spread, size=b)
+        if dominant:
+            w[gen.integers(b)] *= 1e12
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        # bucket edges j/g and the cdf's own values, each with both
+        # neighbours, plus 0, the largest uniform below 1 and random draws
+        edges = np.concatenate([np.arange(b) / b, cdf[:-1]])
+        u = np.concatenate([
+            [0.0, 1.0 - 2.0**-53],
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            gen.random(1000),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        np.testing.assert_array_equal(engine._search_cdf(cdf, u), cdf.searchsorted(u, side="right"))
+
+
 class TestReplicateEstimate:
     def test_two_unit_subset_is_deterministic(self):
         sf = make_subsetfit([1.0], [3.0])

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit as scipy_expit
 
 from causalboot import (
     DataError,
@@ -15,10 +17,40 @@ from causalboot import (
     truncate_scores,
 )
 from causalboot import rng as cbrng
-from causalboot.propensity import _balance_conditions, _design
+from causalboot.propensity import _balance_conditions, _design, expit
 from causalboot.simulation import generate_dgm
 
 from oracles import logistic_fisher_se, two_cell_balance_scores, weighted_arm_means
+
+
+class TestExpit:
+    """The package's numpy logistic function against scipy's."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0, 40.0])
+    def test_matches_scipy_to_the_last_bits(self, sigma):
+        # Both compute 1 / (1 + exp(-z)); their exp may differ in the last
+        # bit.  Below z = -36.7, exp(-z) >= 2**53 and adding 1 rounds a
+        # tie, which can double that difference: there the two differ by
+        # up to 4 ulps, while each stays within 2 ulps of the correctly
+        # rounded value.
+        z = np.random.default_rng(29).normal(scale=sigma, size=200_000)
+        # both are nonnegative, so their bit patterns count ulps
+        ulps = np.abs(expit(z).view(np.int64) - scipy_expit(z).view(np.int64))
+        tie = np.exp(-z) >= 2.0**53
+        assert ulps[~tie].max() <= 2
+        assert ulps[tie].max(initial=0) <= 4
+
+    @pytest.mark.parametrize(
+        "z, value", [(-800.0, 0.0), (-np.inf, 0.0), (40.0, 1.0), (800.0, 1.0), (np.inf, 1.0)]
+    )
+    def test_exact_limits_without_warning(self, z, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expit(np.array([z]))
+        assert out[0] == value == scipy_expit(z)
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(expit(np.array([np.nan]))[0])
 
 
 class TestLogisticIrls:
@@ -56,7 +88,7 @@ class TestLogisticIrls:
             return float(np.sum(np.logaddexp(0.0, eta) - w * eta))
 
         def gradient(beta):
-            return X.T @ (expit(X @ beta) - w)
+            return X.T @ (scipy_expit(X @ beta) - w)
 
         ref = minimize(negloglik, np.zeros(X.shape[1]), jac=gradient, method="BFGS",
                        options={"gtol": 1e-10, "maxiter": 1000})
