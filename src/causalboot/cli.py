@@ -27,7 +27,7 @@ from typing import Any, Callable, NamedTuple
 from . import __version__
 from .config import BlbConfig, CI_KINDS
 from .data import NA_POLICIES, load_csv
-from .engine import BlbEstimate, run_blb
+from .engine import BlbEstimate, SubsetEstimate, run_blb
 from .errors import CausalbootError, ConfigError, DataError, EstimationError
 from .simulation import benchmark_timing, run_relerr_harness, run_replications
 
@@ -134,7 +134,8 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("n", int, REQUIRED, "rows of the simulated dataset"),
         Option("gammas", _list_of(float), REQUIRED, "comma-separated gamma values"),
         Option("replicates", int, _RUN.replicates, "bootstrap replicates r per subset"),
-        Option("oracle_reps", int, 1000, "full-data bootstrap replicates of the oracle"),
+        Option("oracle_reps", int, 1000,
+               "fresh datasets the oracle interval is taken over (at least 100)"),
         Option("data_reps", int, 10, "independent datasets averaged over"),
         Option("seed", int, _RUN.seed, "root seed"),
         _OUTPUT,
@@ -237,38 +238,39 @@ def _interval_dict(ci) -> dict:
     return {"kind": ci.kind, "alpha": ci.alpha, "lower": ci.lower, "upper": ci.upper}
 
 
-def _estimate_payload(result: BlbEstimate, balance_threshold: float) -> dict:
-    subsets = []
-    for est in result.subsets:
-        subsets.append(
-            {
-                "id": est.subset_id,
-                "b0": est.b0,
-                "b1": est.b1,
-                "mean": est.mean,
-                "se": est.se,
-                "q_lower": est.q_lower,
-                "q_upper": est.q_upper,
-                "hajek": est.hajek,
-                "asym_lower": est.asym_lower,
-                "asym_upper": est.asym_upper,
-                "redraws": est.redraws,
-                "fit": {
-                    "method": est.fit_method,
-                    "converged": est.fit_converged,
-                    "iterations": est.fit_iterations,
-                    "objective": est.fit_objective,
-                    "clamped": est.clamped,
-                },
-                "balance": {
-                    "smd": dict(est.balance.smd),
-                    "max_abs_smd": est.balance.max_abs_smd,
-                    "threshold": balance_threshold,
-                    "passed": est.balance.passed,
-                    "not_applicable": list(est.balance.not_applicable),
-                },
-            }
-        )
+def _subset_entry(est: SubsetEstimate) -> dict:
+    """One subset of ``payload.subsets``."""
+    fit, balance = est.fit, est.balance
+    return {
+        "id": est.subset_id,
+        "b0": est.b0,
+        "b1": est.b1,
+        "mean": est.mean,
+        "se": est.se,
+        "q_lower": est.q_lower,
+        "q_upper": est.q_upper,
+        "hajek": est.hajek,
+        "asym_lower": est.asym_lower,
+        "asym_upper": est.asym_upper,
+        "redraws": est.redraws,
+        "fit": {
+            "method": fit.method,
+            "converged": fit.converged,
+            "iterations": fit.iterations,
+            "objective": fit.objective,
+            "clamped": fit.clamped,
+        },
+        "balance": {
+            "smd": dict(balance.smd),
+            "max_abs_smd": balance.max_abs_smd,
+            "threshold": balance.threshold,
+            "passed": balance.passed,
+            "not_applicable": list(balance.not_applicable),
+        },
+    }
+
+
+def _estimate_payload(result: BlbEstimate) -> dict:
     return _json_safe(
         {
             "tau_hat": result.tau_hat,
@@ -281,7 +283,7 @@ def _estimate_payload(result: BlbEstimate, balance_threshold: float) -> dict:
             "n0": result.n0,
             "n1": result.n1,
             "subset_size": result.b,
-            "subsets": subsets,
+            "subsets": [_subset_entry(est) for est in result.subsets],
             "diagnostics": result.diagnostics,
         }
     )
@@ -373,7 +375,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     load_seconds = time.perf_counter() - t0
     result = run_blb(table, config)
 
-    payload = _estimate_payload(result, config.balance_threshold)
+    payload = _estimate_payload(result)
     payload["diagnostics"]["dropped_rows"] = table.dropped_rows
     document = {
         "payload": payload,

@@ -75,7 +75,6 @@ class SubsetFit:
     """One subset's data reordered controls-first, with weights attached."""
 
     subset_id: int
-    indices: np.ndarray          # original row ids, controls first
     y: np.ndarray
     w: np.ndarray
     x: np.ndarray
@@ -99,7 +98,7 @@ class SubsetFit:
 
 @dataclass
 class SubsetEstimate:
-    """Replicate summaries for one subset."""
+    """Replicate summaries for one subset, with its fit and balance."""
 
     subset_id: int
     b0: int
@@ -114,11 +113,7 @@ class SubsetEstimate:
     asym_upper: float
     redraws: int
     balance: BalanceReport
-    fit_method: str
-    fit_converged: bool
-    fit_iterations: int
-    fit_objective: float
-    clamped: int
+    fit: PropensityFit           # truncated, with scores controls first
     # Wall time of the subset's fits over all attempts and of its
     # resampling; reported outside payloads.
     fit_seconds: float = 0.0
@@ -170,7 +165,6 @@ def order_subset(
     weights = normalized_weights(fit_ord, w_ord)
     return SubsetFit(
         subset_id=subset_id,
-        indices=idx,
         y=table.y[idx],
         w=w_ord,
         x=table.x[idx],
@@ -337,11 +331,7 @@ def run_subset(
         asym_upper=asym.upper,
         redraws=redraws,
         balance=balance,
-        fit_method=subsetfit.fit.method,
-        fit_converged=subsetfit.fit.converged,
-        fit_iterations=subsetfit.fit.iterations,
-        fit_objective=subsetfit.fit.objective,
-        clamped=subsetfit.fit.clamped,
+        fit=subsetfit.fit,
     )
 
 
@@ -370,7 +360,11 @@ def _run_one_subset(
     b: int,
     external: PropensityFit | None,
 ) -> SubsetEstimate:
-    """Draw subset ``k``, redrawing on degeneracy, overlap, or fit failure."""
+    """Draw subset ``k``, redrawing on degeneracy, overlap, or fit failure.
+
+    A single-arm subset is one more ``EstimationError``: the fit or
+    ``order_subset`` raises it, and it is the attempt's redraw reason.
+    """
     n0, n1 = table.n0, table.n1
     lo, hi = config.truncation
     reasons: list[str] = []
@@ -378,11 +372,6 @@ def _run_one_subset(
     for attempt in range(config.max_redraws + 1):
         stream = rng.substream(config.seed, rng.DOMAIN_SUBSET, k, attempt)
         indices = draw_subset(table, b, stream)
-        w_sub = table.w[indices]
-        b1 = int(w_sub.sum())
-        if b1 == 0 or b1 == b:
-            reasons.append(f"attempt {attempt}: single arm")
-            continue
         t0 = time.perf_counter()
         try:
             fit = _fit_scores(table, indices, config, external)
@@ -481,30 +470,32 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
     estimates = list(iter_subsets(table, config))
     b = estimates[0].b0 + estimates[0].b1  # every subset has size b
 
-    tau_hat = float(np.mean([e.mean for e in estimates]))
-    se = float(np.mean([e.se for e in estimates]))
+    def average(name: str) -> float:
+        # np.mean of a list: a column mean of an (s, k) array sums in
+        # another order and can round differently
+        return float(np.mean([getattr(e, name) for e in estimates]))
+
     ci_pct = ConfidenceInterval(
-        float(np.mean([e.q_lower for e in estimates])),
-        float(np.mean([e.q_upper for e in estimates])),
+        average("q_lower"),
+        average("q_upper"),
         kind="percentile",
         alpha=config.alpha,
     )
     ci_asym = ConfidenceInterval(
-        float(np.mean([e.asym_lower for e in estimates])),
-        float(np.mean([e.asym_upper for e in estimates])),
+        average("asym_lower"),
+        average("asym_upper"),
         kind="asymptotic",
         alpha=config.alpha,
     )
     ci = ci_pct if config.ci_kind == "percentile" else ci_asym
-    hajek = float(np.mean([e.hajek for e in estimates]))
 
     total_rows = config.subsets * b
     diagnostics = {
         "total_redraws": int(sum(e.redraws for e in estimates)),
-        "clamped_rows": int(sum(e.clamped for e in estimates)),
-        "clamped_fraction": float(sum(e.clamped for e in estimates) / total_rows),
+        "clamped_rows": int(sum(e.fit.clamped for e in estimates)),
+        "clamped_fraction": float(sum(e.fit.clamped for e in estimates) / total_rows),
         "balance_failures": int(sum(not e.balance.passed for e in estimates)),
-        "nonconverged_fits": int(sum(not e.fit_converged for e in estimates)),
+        "nonconverged_fits": int(sum(not e.fit.converged for e in estimates)),
         "max_abs_smd": max(
             (e.balance.max_abs_smd for e in estimates if e.balance.max_abs_smd is not None),
             default=None,
@@ -516,12 +507,12 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
         "total_seconds": time.perf_counter() - start,
     }
     return BlbEstimate(
-        tau_hat=tau_hat,
-        se=se,
+        tau_hat=average("mean"),
+        se=average("se"),
         ci=ci,
         ci_percentile=ci_pct,
         ci_asymptotic=ci_asym,
-        hajek=hajek,
+        hajek=average("hajek"),
         n=table.n,
         n0=table.n0,
         n1=table.n1,

@@ -10,6 +10,8 @@ from causalboot import cli
 from causalboot import rng as cbrng
 from causalboot.cli import main
 from causalboot.config import BlbConfig
+from causalboot.data import load_csv
+from causalboot.engine import run_blb
 from causalboot.simulation import generate_dgm
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -86,6 +88,23 @@ class TestAnalyze:
             rows = list(csv.reader(handle))
         assert rows[0] == ["subset", "replicate", "estimate"]
         assert len(rows) - 1 == 4 * 50
+
+    def test_subset_entries_hold_their_fit_and_threshold(self, dgm_csv, tmp_path):
+        args = analyze_args(dgm_csv, tmp_path, **{"--method": "cbps", "--balance-threshold": "0.2"})
+        assert main(args) == 0
+        entries = json.loads((tmp_path / "result.json").read_text())["payload"]["subsets"]
+        table = load_csv(str(dgm_csv), "y", "w", ["x1", "x2"])
+        config = BlbConfig(gamma=0.7, subsets=4, replicates=50, seed=1, estimator="cbps",
+                           balance_threshold=0.2)
+        estimates = run_blb(table, config).subsets
+        assert len(entries) == len(estimates) == 4
+        for entry, est in zip(entries, estimates):
+            assert entry["balance"]["threshold"] == 0.2
+            fit = est.fit
+            assert entry["fit"] == {
+                "method": fit.method, "converged": fit.converged, "iterations": fit.iterations,
+                "objective": fit.objective, "clamped": fit.clamped,
+            }
 
     def test_gamma_and_subset_size_conflict(self, dgm_csv, tmp_path):
         code = main(analyze_args(dgm_csv, tmp_path, **{"--subset-size": "100"}))

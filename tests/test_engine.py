@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import causalboot as cb
 from causalboot import engine
 from causalboot import rng as cbrng
+from causalboot.cli import main
 from causalboot.engine import SubsetFit, order_subset, run_blb, run_subset
 from causalboot.errors import DegenerateSubsetError, EstimationError, RedrawBudgetError
 from causalboot.propensity import ArmWeights, PropensityFit, fit_logistic_irls, normalized_weights, truncate_scores
@@ -40,7 +42,6 @@ def make_subsetfit(y0, y1, w0=None, w1=None):
     w1 = np.full(b1, 1.0 / b1) if w1 is None else np.asarray(w1, dtype=float)
     return SubsetFit(
         subset_id=0,
-        indices=np.arange(b0 + b1),
         y=np.concatenate([y0, y1]),
         w=np.concatenate([np.zeros(b0, dtype=int), np.ones(b1, dtype=int)]),
         x=np.zeros((b0 + b1, 1)),
@@ -80,7 +81,6 @@ class TestOrderSubset:
         sf = order_subset(small_table, indices, fit)
         assert list(sf.w) == [0, 0, 1, 1]
         # controls 2, 4 keep their input order, then treated 1, 3
-        assert list(sf.indices) == [2, 4, 1, 3]
         np.testing.assert_array_equal(sf.y, small_table.y[[2, 4, 1, 3]])
         np.testing.assert_array_equal(sf.x, small_table.x[[2, 4, 1, 3]])
         # scores permuted with the rows
@@ -518,7 +518,7 @@ class TestRunBlb:
         res = run_blb(table, cfg)
         assert res.diagnostics["total_redraws"] > 0
 
-    def test_redraw_budget_exhaustion(self, dgm_table):
+    def test_redraw_budget_exhaustion(self, dgm_table, tmp_path, capsys):
         # an impossible weight cap fails every attempt
         cfg = cb.BlbConfig(
             gamma=0.5, subsets=2, replicates=10, seed=0, weight_cap=1e-9,
@@ -526,6 +526,41 @@ class TestRunBlb:
         )
         with pytest.raises(RedrawBudgetError):
             run_blb(dgm_table, cfg)
+        # So does a single arm: with 1 treated row of 2,000 and b=2 every
+        # attempt at seed 0 is all-control.  The fit, or order_subset for
+        # external scores, raises a typed error that is the attempt's reason.
+        gen = np.random.default_rng(4)
+        w = np.zeros(2000, dtype=int)
+        w[1000] = 1
+        table = cb.ObservationTable(y=gen.standard_normal(2000), w=w, x=gen.standard_normal((2000, 1)))
+        csv_path = tmp_path / "lonely.csv"
+        csv_path.write_text("y,w,x1\n" + "".join(
+            f"{y!r},{t},{x!r}\n" for y, t, x in zip(table.y.tolist(), w.tolist(), table.x[:, 0].tolist())
+        ), encoding="utf-8")
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.5\n" * 2000, encoding="utf-8")
+        for method in ("logistic", "marginal", f"external:{scores}"):
+            estimator, _, path = method.partition(":")
+            cfg = cb.BlbConfig(
+                subset_size=2, gamma=None, subsets=2, replicates=10, seed=0, max_redraws=3,
+                estimator=estimator, external_scores=path or None,
+            )
+            with pytest.raises(RedrawBudgetError) as exc:
+                run_blb(table, cfg)
+            reasons = re.findall(r"attempt (\d+): ([^;]*)[;)]", str(exc.value))
+            assert [int(i) for i, _ in reasons] == [0, 1, 2, 3], method
+            for _, why in reasons:
+                assert re.fullmatch("both treatment arms must be nonempty|"
+                                    "subset 0 has a single treatment arm", why), method
+            code = main([
+                "analyze", "--input", str(csv_path), "--outcome", "y", "--treatment", "w",
+                "--covariates", "x1", "--method", method, "--subset-size", "2",
+                "--subsets", "2", "--replicates", "10", "--seed", "0", "--max-redraws", "3",
+                "--output", str(tmp_path / "out"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 4, method
+            assert err == f"estimation error: {exc.value}\n"
 
     def test_single_arm_table_rejected(self):
         table = cb.ObservationTable(

@@ -118,7 +118,7 @@ class TestStoppingRules:
         config = BlbConfig(gamma=0.7, subsets=10, replicates=20, seed=31, estimator="cbps", threads=1)
         result = run_blb(table, config)
         assert result.diagnostics["nonconverged_fits"] == 0
-        assert all(0 < e.fit_iterations <= 4 for e in result.subsets)
+        assert all(0 < e.fit.iterations <= 4 for e in result.subsets)
 
     def test_cbps_builds_a_jacobian_only_for_a_step(self, monkeypatch, dgm_table):
         # X'DX is built once per step taken, never at the converged iterate
