@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import warnings
@@ -38,9 +37,11 @@ class ObservationTable:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        w = np.ascontiguousarray(self.w, dtype=np.int64)
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
+        y = _as_float(self.y, "outcome")
+        x = _as_float(self.x, "covariate")
+        w = np.asarray(self.w)
+        if w.dtype.kind not in "biuf":
+            w = _as_float(w, "treatment")
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         if y.ndim != 1 or w.ndim != 1 or x.ndim != 2:
@@ -52,10 +53,8 @@ class ObservationTable:
             )
         if n == 0:
             raise DataError("empty table")
-        if not np.isin(w, (0, 1)).all():
-            bad = w[~np.isin(w, (0, 1))][0]
-            raise DataError(f"non-binary treatment value {bad!r}")
-        if not np.isfinite(y).all() or not np.isfinite(x).all():
+        w = _binary(w)
+        if not (_all_finite(y) and _all_finite(x)):
             raise DataError("non-finite outcome or covariate value")
         names = tuple(self.covariate_names) or tuple(
             f"x{j + 1}" for j in range(x.shape[1])
@@ -84,6 +83,34 @@ class ObservationTable:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+
+def _as_float(values, what: str) -> np.ndarray:
+    """``values`` as a C-contiguous float64 array, copied only if needed."""
+    try:
+        return np.ascontiguousarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"non-numeric {what} value: {exc}") from None
+
+
+def _binary(w: np.ndarray) -> np.ndarray:
+    """``w`` as int64 once every value is exactly 0 or 1 in its own dtype.
+
+    Booleans need no check and integers only their range, so neither
+    makes a temporary; a float vector is compared cell by cell, which
+    also rejects NaN.
+    """
+    if w.dtype.kind == "f" or (w.dtype.kind in "iu" and not 0 <= w.min() <= w.max() <= 1):
+        binary = (w == 0) | (w == 1)
+        if not binary.all():
+            raise DataError(f"non-binary treatment value {w[np.argmin(binary)].item()!r}")
+    return np.ascontiguousarray(w, dtype=np.int64)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether no value is NaN or infinite, without a temporary: min and
+    max propagate NaN, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _parse_cell(raw: str, col: str, row: int, na_policy: str) -> float | None:
@@ -120,22 +147,21 @@ def _parse_fast(lines: list[str], cols: list[int]) -> np.ndarray | None:
     ``loadtxt`` converts text to doubles with ``float``'s own routine, so
     the values are bit-identical to the row parser's.
     """
-    text = "".join(lines)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
         try:
             # comments=None: with the default "#", a "#" in a cell would
             # silently cut its row short.
             data = np.loadtxt(
-                io.StringIO(text), delimiter=",", usecols=cols,
-                dtype=np.float64, comments=None, quotechar='"', ndmin=2,
+                lines, delimiter=",", usecols=cols, dtype=np.float64,
+                comments=None, quotechar='"', ndmin=2,
             )
         except ValueError:
             return None
     w = data[:, 1]
     if not np.isfinite(data).all() or not ((w == 0.0) | (w == 1.0)).all():
         return None
-    if '"' in text:
+    if any('"' in line for line in lines):
         try:
             for _ in csv.reader(lines, strict=True):
                 pass
@@ -194,34 +220,62 @@ def _parse_rows(lines, stop: int, used: list[str], cols: list[int],
     return data, i - first_row, dropped
 
 
-def _parse(handle, header: list[str], used: list[str], na_policy: str):
-    """Parse the data rows block by block; returns (rows-by-used array,
-    rows dropped).
+def _line_capacity(raw) -> int:
+    r"""The line endings of a binary file, an upper bound on its data rows.
+
+    Each ``\n``, ``\r\n`` and lone ``\r`` counts once, the endings the
+    text reader splits lines on.  A record takes at least one line and
+    the header one more, and only the last line can lack an ending, so a
+    file never holds more data rows than endings.
+    """
+    endings = 0
+    after_cr = False
+    while chunk := raw.read(_BLOCK_CHARS):
+        # numpy compares bytes several times faster than bytes.count
+        endings += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+        if b"\r" in chunk:  # each lone \r; a \r\n has counted as its \n
+            endings += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if after_cr and chunk.startswith(b"\n"):  # a \r\n split by the chunking
+            endings -= 1
+        after_cr = chunk.endswith(b"\r")
+    return endings
+
+
+def _parse(handle, header: list[str], used: list[str], na_policy: str, capacity: int):
+    """Parse the data rows block by block into columns of ``capacity``
+    rows; returns (y, w, x, rows dropped), each array a C-contiguous view
+    of the rows kept.
 
     Each block of whole lines goes to the vectorized pass first; a block
     it declines is parsed again row by row, which alone applies the NA
     policy and words every error.  The row parser reads on past the
     block's last line when a quoted field spans it, so every block starts
-    at a record boundary.
+    at a record boundary.  Either way the block's rows are written into
+    the columns at once, so besides them one block is alive at a time.
     """
     last = {name: j for j, name in enumerate(header)}  # as DictReader keys
     cols = [last[c] for c in used]
-    blocks = []
-    rows = dropped = 0
+    y = np.empty(capacity)
+    w = np.empty(capacity, dtype=np.int64)
+    x = np.empty((capacity, len(cols) - 2))
+    kept = records = dropped = 0
     while lines := handle.readlines(_BLOCK_CHARS):
         data = _parse_fast(lines, cols)
         if data is None:
-            data, records, skipped = _parse_rows(
-                itertools.chain(lines, handle), len(lines), used, cols, rows, na_policy
+            data, read, skipped = _parse_rows(
+                itertools.chain(lines, handle), len(lines), used, cols, records, na_policy
             )
+            records += read
             dropped += skipped
         else:
-            records = data.shape[0]
-        rows += records
-        blocks.append(data)
-    if not blocks:
-        return np.empty((0, len(cols))), 0
-    return np.concatenate(blocks), dropped
+            records += data.shape[0]
+        end = kept + data.shape[0]
+        y[kept:end] = data[:, 0]
+        w[kept:end] = data[:, 1]
+        x[kept:end] = data[:, 2:]
+        kept = end
+        del lines, data  # freed before the next block is read, not after
+    return y[:kept], w[:kept], x[:kept], dropped
 
 
 def load_csv(
@@ -237,9 +291,12 @@ def load_csv(
     rejected (default) or dropped and counted, per ``na_policy``.  A
     treatment value other than 0 or 1 is always an error: it indicates a
     miscoded column, not missingness.  A leading byte-order mark is
-    skipped.  The used columns are parsed in blocks of lines, each in one
-    vectorized pass; a block that pass declines is parsed again row by
-    row, which alone applies the NA policy and words every error.
+    skipped.  One scan of the bytes counts the line endings, which bounds
+    the rows, and the table's columns are allocated once at that size.
+    The used columns are then parsed in blocks of lines, each in one
+    vectorized pass, and written into the columns; a block that pass
+    declines is parsed again row by row, which alone applies the NA
+    policy and words every error.
     """
     if na_policy not in NA_POLICIES:
         raise ConfigError(f"na_policy must be one of {NA_POLICIES}, got {na_policy!r}")
@@ -253,24 +310,22 @@ def load_csv(
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         with handle:
+            capacity = _line_capacity(handle.buffer)
+            handle.seek(0)
             header = next(csv.reader(handle), [])
             missing = [c for c in used if c not in header]
             if missing:
                 raise DataError(f"missing column(s) {missing} in {path}")
-            data, dropped = _parse(handle, header, used, na_policy)
+            y, w, x, dropped = _parse(handle, header, used, na_policy, capacity)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
         raise DataError(f"malformed CSV {path}: {exc}") from None
 
-    if data.shape[0] == 0:
+    if y.shape[0] == 0:
         raise DataError(f"no usable rows in {path} (dropped {dropped})")
     return ObservationTable(
-        y=data[:, 0],
-        w=data[:, 1].astype(np.int64),
-        x=data[:, 2:],
-        covariate_names=tuple(covariate_cols),
-        dropped_rows=dropped,
+        y=y, w=w, x=x, covariate_names=tuple(covariate_cols), dropped_rows=dropped,
     )
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from . import rng
 from .config import BlbConfig
 from .data import ObservationTable, draw_subset, subset_size
-from .errors import DegenerateSubsetError, EstimationError, RedrawBudgetError, SeparationError
+from .errors import EstimationError, RedrawBudgetError, SeparationError
 from .inference import BalanceReport, ConfidenceInterval, asymptotic_ci, hajek_ipw, percentile_ci, smd_balance
 from .propensity import (
     ArmWeights,
@@ -52,6 +52,7 @@ from .propensity import (
     load_external_scores,
     marginal_propensity,
     normalized_weights,
+    require_both_arms,
     truncate_scores,
 )
 
@@ -152,10 +153,8 @@ def order_subset(
     has a single arm.
     """
     w_sub = table.w[indices]
-    b1 = int(w_sub.sum())
+    b1 = require_both_arms(w_sub)
     b = w_sub.shape[0]
-    if b1 == 0 or b1 == b:
-        raise DegenerateSubsetError(f"subset {subset_id} has a single treatment arm")
     if fit.scores.shape[0] != b:
         raise EstimationError("fitted scores do not match subset size")
     order = np.argsort(w_sub, kind="stable")

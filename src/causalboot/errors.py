@@ -26,7 +26,8 @@ class SeparationError(EstimationError):
 
 
 class DegenerateSubsetError(EstimationError):
-    """A drawn subset contains only one treatment arm."""
+    """The rows to fit or weight, such as a drawn subset, hold only one
+    treatment arm."""
 
 
 class RedrawBudgetError(EstimationError):

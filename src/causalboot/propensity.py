@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CBPS_MAX_ITER, CBPS_TOL, IRLS_MAX_ITER, IRLS_TOL
-from .errors import DataError, EstimationError, SeparationError
+from .errors import DataError, DegenerateSubsetError, EstimationError, SeparationError
 
 # Linear-predictor max-norm max|X beta| beyond which a logistic fit is
 # declared separated (a score within 4e-44 of 0 or 1).  Bounding X beta
@@ -77,7 +77,11 @@ def expit(z: np.ndarray) -> np.ndarray:
     score of exactly 0 or 1 separation.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        # in place, one array: the same roundings as 1 / (1 + exp(-z))
+        out = np.negative(z, out=np.empty(np.shape(z)))
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
 
 def _design(x: np.ndarray) -> np.ndarray:
@@ -88,6 +92,20 @@ def _design(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
+def require_both_arms(w: np.ndarray) -> int:
+    """The number of treated rows of the 0/1 vector ``w``.
+
+    Raises ``DegenerateSubsetError`` when ``w`` holds a single arm: the
+    fits, ``normalized_weights`` and ``order_subset`` all give this one
+    reason for it.
+    """
+    w = np.asarray(w)
+    n1 = int(w.sum())
+    if n1 == 0 or n1 == w.shape[0]:
+        raise DegenerateSubsetError("both treatment arms must be nonempty")
+    return n1
+
+
 def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -96,9 +114,7 @@ def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     b, p = x.shape
     if w.shape[0] != b:
         raise EstimationError("treatment vector length does not match covariate rows")
-    n1 = int(w.sum())
-    if n1 == 0 or n1 == b:
-        raise EstimationError("both treatment arms must be nonempty")
+    require_both_arms(w)
     if b <= p + 1:
         raise EstimationError(f"need more rows than parameters: b={b}, p={p}")
     if p > 0 and (x.std(axis=0) == 0.0).any():
@@ -271,10 +287,7 @@ def marginal_propensity(w: np.ndarray) -> PropensityFit:
     """Constant scores equal to the treated fraction (randomized designs)."""
     w = np.asarray(w)
     b = w.shape[0]
-    n1 = int(w.sum())
-    if n1 == 0 or n1 == b:
-        raise EstimationError("both treatment arms must be nonempty")
-    rate = n1 / b
+    rate = require_both_arms(w) / b
     return PropensityFit(
         scores=np.full(b, rate), coefficients=np.empty(0), method="marginal",
         converged=True, iterations=0, objective=0.0,
@@ -303,9 +316,8 @@ def normalized_weights(fit: PropensityFit, w: np.ndarray) -> ArmWeights:
         raise EstimationError("scores length does not match treatment vector")
     if (scores <= 0.0).any() or (scores >= 1.0).any():
         raise EstimationError("scores must lie strictly inside (0, 1) before weighting")
+    require_both_arms(w)
     treated = w == 1
-    if not treated.any() or treated.all():
-        raise EstimationError("both treatment arms must be nonempty")
     inv1 = 1.0 / scores[treated]
     inv0 = 1.0 / (1.0 - scores[~treated])
     return ArmWeights(w0=inv0 / inv0.sum(), w1=inv1 / inv1.sum())

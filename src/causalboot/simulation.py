@@ -33,14 +33,25 @@ class DgmSample:
     ``p`` standard-normal confounders (two by default); treatment
     assigned with probability inverse-logit(c*x1 + ... + c*xp), c =
     -0.5*sqrt(2/p), or 0.5 in the randomized variant; outcome
-    y = x1 + ... + xp + eps + 2*w.  The per-unit effect is exactly 2.
+    y = x1 + ... + xp + eps + 2*w.  The per-unit effect is exactly
+    ``tau``, so neither potential outcome is stored; the true propensity
+    is recomputed from the table's covariates when it is asked for.
     """
 
     table: ObservationTable
-    true_propensity: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
+    randomized: bool = False
     tau: float = TRUE_ATE
+
+    @property
+    def true_propensity(self) -> np.ndarray:
+        if self.randomized:
+            return np.full(self.table.n, 0.5)
+        return _propensity(self.table.x)
+
+
+def _propensity(x: np.ndarray) -> np.ndarray:
+    p = x.shape[1]
+    return expit(x @ np.full(p, -0.5 * np.sqrt(2.0 / p)))
 
 
 def generate_dgm(
@@ -52,24 +63,24 @@ def generate_dgm(
     linear predictor at that of the two-covariate process for any p.
     ``randomized`` assigns W ~ Bernoulli(0.5) independent of the
     covariates, the setting the marginal estimator is meant for.  The
-    stream is consumed in the same order either way.
+    stream is consumed in the same order either way: covariates, the
+    assignment uniforms, then the outcome noise.  The table's arrays are
+    built in place, so besides them at most two n-vectors are alive.
     """
     if n < 2:
         raise ConfigError(f"n must be at least 2, got {n}")
     if p < 1:
         raise ConfigError(f"p must be at least 1, got {p}")
     x = stream.standard_normal((n, p))
-    if randomized:
-        pi = np.full(n, 0.5)
-    else:
-        pi = expit(x @ np.full(p, -0.5 * np.sqrt(2.0 / p)))
-    w = (stream.random(n) < pi).astype(np.int64)
-    eps = stream.standard_normal(n)
-    y0 = x.sum(axis=1) + eps
-    y1 = y0 + TRUE_ATE
-    y = np.where(w == 1, y1, y0)
-    table = ObservationTable(y=y, w=w, x=x)
-    return DgmSample(table=table, true_propensity=pi, y0=y0, y1=y1)
+    u = stream.random(n)
+    pi = 0.5 if randomized else _propensity(x)
+    w = np.empty(n, dtype=np.int64)
+    np.less(u, pi, out=w)
+    del u, pi  # gone before the noise is drawn
+    y = x.sum(axis=1)
+    y += stream.standard_normal(n)
+    np.add(y, TRUE_ATE, out=y, where=w == 1)
+    return DgmSample(table=ObservationTable(y=y, w=w, x=x), randomized=randomized)
 
 
 def generate_wide_dgm(n: int, p: int, stream: np.random.Generator) -> ObservationTable:

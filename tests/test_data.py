@@ -1,5 +1,8 @@
 import contextlib
+import io
 import json
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -48,6 +51,53 @@ class TestObservationTable:
             ObservationTable(
                 y=np.array([1.0, np.nan]), w=np.array([0, 1]), x=np.zeros((2, 1))
             )
+
+    @pytest.mark.parametrize("column", ["y", "x"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_value_rejected(self, column, value):
+        arrays = {"y": np.array([1.0, 2.0]), "w": np.array([0, 1]), "x": np.zeros((2, 1))}
+        arrays[column][-1] = value
+        with pytest.raises(DataError, match="non-finite"):
+            ObservationTable(**arrays)
+
+    @pytest.mark.parametrize("bad,message", [
+        (0.5, "non-binary treatment value 0.5"),
+        (1.7, "non-binary treatment value 1.7"),
+        (-0.3, "non-binary treatment value -0.3"),
+        (float("nan"), "non-binary treatment value nan"),
+        ("a", "non-numeric treatment value: could not convert string to float"),
+    ])
+    def test_treatment_checked_before_the_integer_cast(self, bad, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            ObservationTable(y=np.zeros(3), w=[0.0, bad, 1.0], x=np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("w", [
+        np.array([False, True, False]),
+        np.array([0.0, 1.0, -0.0]),
+        np.array([0, 1, 0], dtype=np.uint8),
+    ], ids=["bool", "float", "uint8"])
+    def test_binary_treatments_accepted(self, w):
+        table = ObservationTable(y=np.zeros(3), w=w, x=np.zeros((3, 1)))
+        assert table.w.dtype == np.int64 and table.w.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("column,values", [
+        ("y", ["1", "a"]), ("y", [1.0, {}]), ("x", [["b"], ["2"]]),
+    ])
+    def test_non_numeric_outcome_or_covariate_is_a_data_error(self, column, values):
+        arrays = {"y": np.zeros(2), "w": np.array([0, 1]), "x": np.zeros((2, 1)), column: values}
+        name = {"y": "outcome", "x": "covariate"}[column]
+        with pytest.raises(DataError, match=f"^non-numeric {name} value: "):
+            ObservationTable(**arrays)
+
+    def test_validation_makes_no_column_sized_temporary(self):
+        # float64 y and x and int64 w are kept as they are, and checked
+        # without a copy or a mask
+        n = 200_000
+        y, x = np.linspace(-1.0, 1.0, n), np.ones((n, 3))
+        w = np.arange(n, dtype=np.int64) % 2
+        table, peak = traced(lambda: ObservationTable(y=y, w=w, x=x))
+        assert table.y is y and table.w is w and table.x is x
+        assert peak < n // 8
 
 
 class TestLoadCsv:
@@ -196,6 +246,19 @@ class TestDrawSubset:
             draw_subset(small_table, small_table.n + 1, cbrng.substream(5, 1, 0, 0))
 
 
+def traced(call):
+    """``call()``'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def table_bytes(table):
+    return table.y.nbytes + table.w.nbytes + table.x.nbytes
+
+
 # ---------------------------------------------------------------------
 # Vectorized ingestion: the fast path against the row parser
 # ---------------------------------------------------------------------
@@ -261,6 +324,7 @@ EDGE_CASES = [
     ("duplicate_header", "y,w,x1,x2,y\n1,0,2,3,9\n2,1,3,4,8\n", True),
     ("duplicate_header_short_row", "y,w,x1,x2,y\n1,0,2,3\n2,1,3,4,8\n", False),
     ("crlf", "y,w,x1,x2\r\n1,0,2,3\r\n2,1,3,4\r\n", True),
+    ("cr_only", "y,w,x1,x2\r1,0,2,3\r2,1,3,4\r", True),
     ("underscore", "y,w,x1,x2\n1_000,0,2,3\n2,1,3,4\n", False),
     ("extra_cells", "y,w,x1,x2\n1,0,2,3,7,7\n2,1,3,4\n", True),
     ("short_row", "y,w,x1,x2\n1,0,2\n2,1,3,4\n", False),
@@ -313,6 +377,60 @@ class TestFastPathEdgeCases:
         assert fast.w.dtype == np.int64 and fast.n == 500
 
 
+# (id, file text, na_policy, rows kept)
+KEPT_ROWS_CASES = [
+    ("no_final_newline", "y,w,x1,x2\n1,0,2,3\n2,1,3,4", "reject", 2),
+    ("blank_lines", "y,w,x1,x2\n\n1,0,2,3\n\n\n2,1,3,4\n\n", "reject", 2),
+    ("quoted_newlines", 'y,w,x1,x2,id\n1,0,2,3,"a\nb\r\nc"\n2,1,3,4,"\n"\n', "reject", 2),
+    ("dropped_rows", "y,w,x1,x2\n1,0,2,3\n1,0,NA,3\n2,1,3,4\n,1,3,4\n", "drop", 2),
+    ("mixed_endings", "y,w,x1,x2\r1,0,2,3\r\n2,1,3,4\n3,0,4,5\r", "reject", 3),
+]
+
+
+class TestKeptRows:
+    @pytest.mark.parametrize("text,na_policy,n", [c[1:] for c in KEPT_ROWS_CASES],
+                             ids=[c[0] for c in KEPT_ROWS_CASES])
+    @pytest.mark.parametrize("block_chars", [1, 24, None])
+    def test_table_holds_exactly_the_kept_rows(self, tmp_path, text, na_policy, n,
+                                               block_chars):
+        path = tmp_path / "kept.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with contextlib.ExitStack() as stack:
+            if block_chars is not None:
+                stack.enter_context(mock.patch.object(cbdata, "_BLOCK_CHARS", block_chars))
+            table = load_csv(path, *USED, na_policy=na_policy)
+        for column in (table.y, table.w, table.x):
+            assert column.shape[0] == n and column.flags.c_contiguous
+        assert table_outcome(lambda: table) == load_outcome(path, na_policy, fast=False)
+
+
+class TestLineCapacity:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.sampled_from(["1", ",", "\n", "\r", '"']), max_size=40),
+           block_chars=st.integers(1, 8))
+    def test_counts_each_line_ending_once(self, text, block_chars):
+        # the endings of the lines the text reader splits, whatever the
+        # chunk boundaries, so a \r\n split by them counts once
+        lines = io.TextIOWrapper(io.BytesIO(text.encode()), newline="").readlines()
+        endings = sum(line.endswith(("\n", "\r")) for line in lines)
+        with mock.patch.object(cbdata, "_BLOCK_CHARS", block_chars):
+            assert cbdata._line_capacity(io.BytesIO(text.encode())) == endings
+
+
+class TestBuildMemory:
+    def test_load_csv_holds_the_table_and_one_block(self, tmp_path):
+        # the traced peak over the table's own bytes is the same at n and
+        # 3n rows: a block of lines and its parse, never a second table
+        excess = []
+        for n in (50_000, 150_000):
+            path = export_dgm_csv(tmp_path / f"rows{n}.csv", n=n)
+            table, peak = traced(lambda: load_csv(path, *USED))
+            assert table.n == n
+            excess.append(peak - table_bytes(table))
+        assert max(excess) <= 4 * cbdata._BLOCK_CHARS
+        assert abs(excess[1] - excess[0]) <= cbdata._BLOCK_CHARS / 4
+
+
 NA_CELLS = ["", "NA", "na", "Na", "nan", "NaN", "NAN", "null", "NULL", "Null", " na "]
 HOSTILE_CELLS = NA_CELLS + [
     "inf", "-Infinity", "1_000", "0x1p3", "#", "1#2", "abc", "2", "0.5", "1e999",
@@ -362,7 +480,7 @@ def hostile_csv(draw):
                 cells.append(draw(CLEAN_NUMBERS))
         tail = draw(st.sampled_from(["#", " # note", "#1,2"])) if sometimes("comments") else ""
         lines.append(",".join(cells) + tail)
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
     return bom + ending.join(lines) + draw(st.sampled_from([ending, ""]))
 

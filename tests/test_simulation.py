@@ -18,17 +18,45 @@ from causalboot.simulation import (
 )
 
 from oracles import COV_X1_W_ORACLE
+from test_data import table_bytes, traced
+
+
+def replay_dgm(n, key, p=2, randomized=False):
+    """The generating process written out longhand on the same substream:
+    covariates, assignment uniforms, then noise.  Returns (y, w, x)."""
+    stream = cbrng.substream(*key)
+    x = stream.standard_normal((n, p))
+    u = stream.random(n)
+    eps = stream.standard_normal(n)
+    pi = 0.5 if randomized else expit(x @ np.full(p, -0.5 * np.sqrt(2.0 / p)))
+    w = (u < pi).astype(np.int64)
+    y = x.sum(axis=1) + eps + np.where(w == 1, 2.0, 0.0)
+    return y, w, x
 
 
 class TestGenerateDgm:
     def test_unit_effect_is_exactly_two(self):
-        sample = generate_dgm(500, cbrng.substream(1, cbrng.DOMAIN_DATASET, 0))
-        # constant effect, up to one rounding of y0 + 2
-        np.testing.assert_allclose(sample.y1 - sample.y0, 2.0, rtol=0, atol=1e-12)
-        # observed outcome picks the assigned arm
-        w = sample.table.w
-        np.testing.assert_array_equal(sample.table.y[w == 1], sample.y1[w == 1])
-        np.testing.assert_array_equal(sample.table.y[w == 0], sample.y0[w == 0])
+        key = (1, cbrng.DOMAIN_DATASET, 0)
+        sample = generate_dgm(500, cbrng.substream(*key))
+        y, w, x = replay_dgm(500, key)
+        np.testing.assert_array_equal(sample.table.x, x)
+        np.testing.assert_array_equal(sample.table.w, w)
+        # y0 + 2 on treated rows and y0 elsewhere, both exactly
+        np.testing.assert_array_equal(sample.table.y, y)
+        assert 0 < sample.table.n1 < 500
+
+    def test_replay_with_more_confounders(self):
+        key = (8, cbrng.DOMAIN_DATASET, 0)
+        table = generate_dgm(400, cbrng.substream(*key), p=5).table
+        for got, want in zip((table.y, table.w, table.x), replay_dgm(400, key, p=5)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_traced_peak_is_at_most_1_75_tables(self):
+        n = 200_000
+        sample, peak = traced(
+            lambda: generate_dgm(n, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0), p=2)
+        )
+        assert peak <= 1.75 * table_bytes(sample.table)
 
     def test_propensity_formula(self):
         sample = generate_dgm(200, cbrng.substream(2, cbrng.DOMAIN_DATASET, 0))
@@ -60,14 +88,22 @@ class TestGenerateDgm:
         np.testing.assert_array_equal(a.table.w, b.table.w)
 
     def test_randomized_variant_has_flat_propensity(self):
-        sample = generate_dgm(50000, cbrng.substream(5, cbrng.DOMAIN_DATASET, 0), randomized=True)
+        key = (5, cbrng.DOMAIN_DATASET, 0)
+        sample = generate_dgm(50000, cbrng.substream(*key), randomized=True)
+        assert sample.true_propensity.shape == (50000,)
         np.testing.assert_array_equal(sample.true_propensity, 0.5)
-        np.testing.assert_allclose(sample.y1 - sample.y0, 2.0, rtol=0, atol=1e-12)
+        y, w, x = replay_dgm(50000, key, randomized=True)
+        np.testing.assert_array_equal(sample.table.w, w)
+        np.testing.assert_array_equal(sample.table.y, y)
 
     def test_wide_generator_shapes(self):
         table = generate_wide_dgm(300, 7, cbrng.substream(6, cbrng.DOMAIN_BENCH, 0))
         assert table.x.shape == (300, 7)
         assert 0 < table.n1 < 300
+        # the same process: its bytes are generate_dgm's with p=7
+        same = generate_dgm(300, cbrng.substream(6, cbrng.DOMAIN_BENCH, 0), 7).table
+        for a, b in ((table.y, same.y), (table.w, same.w), (table.x, same.x)):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
