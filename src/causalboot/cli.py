@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -240,7 +241,7 @@ def _interval_dict(ci) -> dict:
 
 def _subset_entry(est: SubsetEstimate) -> dict:
     """One subset of ``payload.subsets``."""
-    fit, balance = est.fit, est.balance
+    balance = est.balance
     return {
         "id": est.subset_id,
         "b0": est.b0,
@@ -253,13 +254,7 @@ def _subset_entry(est: SubsetEstimate) -> dict:
         "asym_lower": est.asym_lower,
         "asym_upper": est.asym_upper,
         "redraws": est.redraws,
-        "fit": {
-            "method": fit.method,
-            "converged": fit.converged,
-            "iterations": fit.iterations,
-            "objective": fit.objective,
-            "clamped": fit.clamped,
-        },
+        "fit": dataclasses.asdict(est.fit),
         "balance": {
             "smd": dict(balance.smd),
             "max_abs_smd": balance.max_abs_smd,

@@ -24,10 +24,13 @@ NA_POLICIES = ("reject", "drop")
 class ObservationTable:
     """Immutable (outcome, treatment, covariates) table.
 
-    ``y`` is the observed outcome, ``w`` the 0/1 treatment indicator and
-    ``x`` the n-by-p confounder matrix.  Row order is load order and all
-    downstream determinism is defined relative to it.  Arrays are frozen
-    after validation so tables can be shared across worker threads.
+    ``y`` is the observed outcome (float64), ``w`` the 0/1 treatment
+    indicator (int8, one byte a row) and ``x`` the n-by-p confounder
+    matrix (float64), so a table costs 8(p+1)+1 bytes a row.  The number
+    of treated rows is counted once, at validation.  Row order is load
+    order and all downstream determinism is defined relative to it.
+    Arrays are frozen after validation so tables can be shared across
+    worker threads.
     """
 
     y: np.ndarray
@@ -35,6 +38,7 @@ class ObservationTable:
     x: np.ndarray
     covariate_names: tuple[str, ...] = ()
     dropped_rows: int = 0
+    _n1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = _as_float(self.y, "outcome")
@@ -67,6 +71,7 @@ class ObservationTable:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "covariate_names", names)
+        object.__setattr__(self, "_n1", int(np.count_nonzero(w)))
 
     @property
     def n(self) -> int:
@@ -74,7 +79,7 @@ class ObservationTable:
 
     @property
     def n1(self) -> int:
-        return int(self.w.sum())
+        return self._n1
 
     @property
     def n0(self) -> int:
@@ -94,17 +99,18 @@ def _as_float(values, what: str) -> np.ndarray:
 
 
 def _binary(w: np.ndarray) -> np.ndarray:
-    """``w`` as int64 once every value is exactly 0 or 1 in its own dtype.
+    """``w`` as int8 once every value is exactly 0 or 1 in its own dtype.
 
     Booleans need no check and integers only their range, so neither
     makes a temporary; a float vector is compared cell by cell, which
-    also rejects NaN.
+    also rejects NaN.  A C-contiguous int8 vector is kept as it is; any
+    other is copied once into an n-byte column.
     """
     if w.dtype.kind == "f" or (w.dtype.kind in "iu" and not 0 <= w.min() <= w.max() <= 1):
         binary = (w == 0) | (w == 1)
         if not binary.all():
             raise DataError(f"non-binary treatment value {w[np.argmin(binary)].item()!r}")
-    return np.ascontiguousarray(w, dtype=np.int64)
+    return np.ascontiguousarray(w, dtype=np.int8)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -256,7 +262,7 @@ def _parse(handle, header: list[str], used: list[str], na_policy: str, capacity:
     last = {name: j for j, name in enumerate(header)}  # as DictReader keys
     cols = [last[c] for c in used]
     y = np.empty(capacity)
-    w = np.empty(capacity, dtype=np.int64)
+    w = np.empty(capacity, dtype=np.int8)
     x = np.empty((capacity, len(cols) - 2))
     kept = records = dropped = 0
     while lines := handle.readlines(_BLOCK_CHARS):

@@ -69,16 +69,18 @@ class ArmWeights:
                 raise EstimationError(f"{name} does not sum to 1")
 
 
-def expit(z: np.ndarray) -> np.ndarray:
+def expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-z)).
 
     It is exactly 0.0 below about -709.8, where exp overflows, and
     exactly 1.0 above about 36.7, without a warning; the fits call a
-    score of exactly 0 or 1 separation.
+    score of exactly 0 or 1 separation.  As with a ufunc, ``out`` (a
+    float64 array of z's shape, possibly ``z`` itself) receives the
+    result; by default a new array does.
     """
     with np.errstate(over="ignore"):
         # in place, one array: the same roundings as 1 / (1 + exp(-z))
-        out = np.negative(z, out=np.empty(np.shape(z)))
+        out = np.negative(z, out=np.empty(np.shape(z)) if out is None else out)
         np.exp(out, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
@@ -168,7 +170,8 @@ def _newton(method, X, beta, newton_step, merit, accept, max_iter) -> Propensity
             raise SeparationError(
                 f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
             )
-    scores = expit(X @ beta)
+    eta = X @ beta
+    scores = expit(eta, out=eta)
     if not ((scores > 0.0) & (scores < 1.0)).all():
         raise SeparationError("fitted probabilities reached 0 or 1; data are separated")
     return PropensityFit(
@@ -197,7 +200,8 @@ def fit_logistic_irls(
     beta[0] = np.log(rate / (1.0 - rate))
 
     def newton_step(beta):
-        pi = expit(X @ beta)
+        eta = X @ beta
+        pi = expit(eta, out=eta)
         score = X.T @ (w - pi)
         score_norm = float(np.max(np.abs(score)))
         if score_norm < tol:
@@ -227,7 +231,8 @@ def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray, jacobian
     """
     b = X.shape[0]
     with np.errstate(divide="ignore", over="ignore"):
-        pi = np.clip(expit(X @ beta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+        eta = X @ beta
+        pi = np.clip(expit(eta, out=eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR, out=eta)
         coef = w / pi - (1.0 - w) / (1.0 - pi)
     g = (X.T @ coef) / b
     if not jacobian:

@@ -51,7 +51,8 @@ class DgmSample:
 
 def _propensity(x: np.ndarray) -> np.ndarray:
     p = x.shape[1]
-    return expit(x @ np.full(p, -0.5 * np.sqrt(2.0 / p)))
+    z = x @ np.full(p, -0.5 * np.sqrt(2.0 / p))
+    return expit(z, out=z)
 
 
 def generate_dgm(
@@ -65,7 +66,8 @@ def generate_dgm(
     covariates, the setting the marginal estimator is meant for.  The
     stream is consumed in the same order either way: covariates, the
     assignment uniforms, then the outcome noise.  The table's arrays are
-    built in place, so besides them at most two n-vectors are alive.
+    built in place, ``w`` as int8, so besides them at most two n-vectors
+    are alive.
     """
     if n < 2:
         raise ConfigError(f"n must be at least 2, got {n}")
@@ -74,7 +76,7 @@ def generate_dgm(
     x = stream.standard_normal((n, p))
     u = stream.random(n)
     pi = 0.5 if randomized else _propensity(x)
-    w = np.empty(n, dtype=np.int64)
+    w = np.empty(n, dtype=np.int8)
     np.less(u, pi, out=w)
     del u, pi  # gone before the noise is drawn
     y = x.sum(axis=1)

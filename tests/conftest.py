@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,3 +48,27 @@ def write_csv(tmp_path):
         return path
 
     return _write
+
+
+def _traced(call):
+    """``call()``'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _table_bytes(table):
+    """The bytes of a table's three arrays."""
+    return table.y.nbytes + table.w.nbytes + table.x.nbytes
+
+
+@pytest.fixture
+def traced():
+    return _traced
+
+
+@pytest.fixture
+def table_bytes():
+    return _table_bytes

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -75,10 +74,17 @@ class TestObservationTable:
         np.array([False, True, False]),
         np.array([0.0, 1.0, -0.0]),
         np.array([0, 1, 0], dtype=np.uint8),
-    ], ids=["bool", "float", "uint8"])
+        np.array([0, 1, 0], dtype=np.int64),
+    ], ids=["bool", "float", "uint8", "int64"])
     def test_binary_treatments_accepted(self, w):
         table = ObservationTable(y=np.zeros(3), w=w, x=np.zeros((3, 1)))
-        assert table.w.dtype == np.int64 and table.w.tolist() == [0, 1, 0]
+        assert table.w.dtype == np.int8 and table.w.tolist() == [0, 1, 0]
+
+    def test_treated_count_is_exact_beyond_the_int8_range(self):
+        w = np.ones(1000, dtype=np.int8)
+        w[500] = 0
+        table = ObservationTable(y=np.zeros(1000), w=w, x=np.arange(1000.0))
+        assert (table.n1, table.n0) == (999, 1)
 
     @pytest.mark.parametrize("column,values", [
         ("y", ["1", "a"]), ("y", [1.0, {}]), ("x", [["b"], ["2"]]),
@@ -89,15 +95,25 @@ class TestObservationTable:
         with pytest.raises(DataError, match=f"^non-numeric {name} value: "):
             ObservationTable(**arrays)
 
-    def test_validation_makes_no_column_sized_temporary(self):
-        # float64 y and x and int64 w are kept as they are, and checked
+    def test_validation_makes_no_column_sized_temporary(self, traced):
+        # float64 y and x and int8 w are kept as they are, and checked
         # without a copy or a mask
+        n = 200_000
+        y, x = np.linspace(-1.0, 1.0, n), np.ones((n, 3))
+        w = (np.arange(n) % 2).astype(np.int8)
+        table, peak = traced(lambda: ObservationTable(y=y, w=w, x=x))
+        assert table.y is y and table.w is w and table.x is x
+        assert peak < n // 8
+
+    def test_int64_treatment_costs_one_byte_column(self, traced):
+        # checked by its range, without a temporary, then copied once
         n = 200_000
         y, x = np.linspace(-1.0, 1.0, n), np.ones((n, 3))
         w = np.arange(n, dtype=np.int64) % 2
         table, peak = traced(lambda: ObservationTable(y=y, w=w, x=x))
-        assert table.y is y and table.w is w and table.x is x
-        assert peak < n // 8
+        assert table.y is y and table.x is x
+        assert table.w.dtype == np.int8 and np.array_equal(table.w, w)
+        assert n <= peak < n + n // 8
 
 
 class TestLoadCsv:
@@ -246,19 +262,6 @@ class TestDrawSubset:
             draw_subset(small_table, small_table.n + 1, cbrng.substream(5, 1, 0, 0))
 
 
-def traced(call):
-    """``call()``'s result and the tracemalloc peak while it ran."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def table_bytes(table):
-    return table.y.nbytes + table.w.nbytes + table.x.nbytes
-
-
 # ---------------------------------------------------------------------
 # Vectorized ingestion: the fast path against the row parser
 # ---------------------------------------------------------------------
@@ -374,7 +377,9 @@ class TestFastPathEdgeCases:
         assert_all_parsers_agree(path, "reject", 4096)
         fast = load_csv(path, *USED)
         assert fast.y.flags.c_contiguous and fast.x.flags.c_contiguous
-        assert fast.w.dtype == np.int64 and fast.n == 500
+        with mock.patch.object(cbdata, "_parse_fast", lambda *args: None):
+            rows = load_csv(path, *USED)
+        assert fast.w.dtype == rows.w.dtype == np.int8 and fast.n == rows.n == 500
 
 
 # (id, file text, na_policy, rows kept)
@@ -418,7 +423,7 @@ class TestLineCapacity:
 
 
 class TestBuildMemory:
-    def test_load_csv_holds_the_table_and_one_block(self, tmp_path):
+    def test_load_csv_holds_the_table_and_one_block(self, tmp_path, traced, table_bytes):
         # the traced peak over the table's own bytes is the same at n and
         # 3n rows: a block of lines and its parse, never a second table
         excess = []

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -324,14 +323,9 @@ class TestEstimatorAlgebra:
         assert (lo - 1e-12 <= draws).all() and (draws <= hi + 1e-12).all()
 
 
-def traced_peak(sf, r, n_arm):
+def run_subset_peak(traced, sf, r, n_arm):
     """tracemalloc peak of run_subset with both arms at size ``n_arm``."""
-    tracemalloc.start()
-    try:
-        run_subset(sf, r, n_arm, n_arm, 0.05, cbrng.substream(9, 2, 0, 0))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced(lambda: run_subset(sf, r, n_arm, n_arm, 0.05, cbrng.substream(9, 2, 0, 0)))[1]
 
 
 class TestRunSubset:
@@ -395,9 +389,10 @@ class TestRunSubset:
 
     def test_draws_do_not_depend_on_the_block_size(self, monkeypatch):
         # arms of 7,000 and 5,000 rows: the default block splits r=100
-        # into 37+37+26 and 52+48 Poisson rows and tops them all up in one
-        # block; one row per block, blocks of about 7 rows' top-ups, and
-        # all r rows in one block must give the same bytes
+        # into 11 blocks of 9 Poisson rows and one of 1, and 7 of 13 and
+        # one of 9, and tops each arm's rows up in one block; one row per
+        # block, blocks of about 7 rows' top-ups, and all r rows in one
+        # block must give the same bytes
         b0, b1, r = 7000, 5000, 100
         sf = random_subsetfit(4, b0, b1)
 
@@ -415,18 +410,18 @@ class TestRunSubset:
             monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
             assert draws().tobytes() == default.tobytes()
 
-    def test_traced_peak_is_one_block_not_the_count_matrix(self):
+    def test_traced_peak_is_one_block_not_the_count_matrix(self, traced):
         # r x b int64 counts per arm would be 64 x 50,000 x 8 B = 24 MiB,
         # and their float product as much again; one block of the kernel
-        # is 2 MiB of counts plus 2 MiB of products
+        # is at most one row here, 0.4 MiB of counts plus 0.4 MiB of products
         sf = random_subsetfit(6, 50_000, 50_000)
-        assert traced_peak(sf, 64, 400_000) < 8 * 2**20
+        assert run_subset_peak(traced, sf, 64, 400_000) < 8 * 2**20
 
-    def test_traced_peak_is_one_block_of_top_up_draws(self):
+    def test_traced_peak_is_one_block_of_top_up_draws(self, traced):
         # 5,000 rows per arm, each about 2 sqrt(1e6) = 2,000 counts short
         # of n: 10M top-up draws per arm, 80 MB if drawn at once
         sf = random_subsetfit(7, 500, 500)
-        assert traced_peak(sf, 5000, 1_000_000) < 8 * 2**20
+        assert run_subset_peak(traced, sf, 5000, 1_000_000) < 8 * 2**20
 
     def test_replicate_minimum(self):
         sf = make_subsetfit([1.0], [2.0])
@@ -612,3 +607,23 @@ class TestRunBlb:
         )
         assert np.array_equal(direct.subsets[0].draws, via_file.subsets[0].draws)
         assert direct.tau_hat == via_file.tau_hat
+
+
+class TestSubsetStageMemory:
+    def test_traced_peak_is_a_few_subset_vectors(self, traced):
+        # n = 200,000 and gamma = 0.85 give b = 32,054.  The logistic fit
+        # sets the peak, at about 17 b-vectors of 8 bytes; one replicate
+        # block of 2**18 counts and their products would be 16 on its own
+        table = generate_dgm(200_000, cbrng.substream(11, cbrng.DOMAIN_DATASET, 0)).table
+        cfg = cb.BlbConfig(gamma=0.85, subsets=2, replicates=20, seed=3)
+        result, peak = traced(lambda: run_blb(table, cfg))
+        assert result.b == 32_054
+        assert peak < 20 * 8 * result.b
+
+    def test_finished_subsets_hold_only_their_draws(self, dgm_table):
+        # the payload reads a subset's fit diagnostics, not its b scores
+        cfg = cb.BlbConfig(gamma=0.9, subsets=3, replicates=20, seed=3)
+        for est in run_blb(dgm_table, cfg).subsets:
+            arrays = [v for v in vars(est).values() if isinstance(v, np.ndarray)]
+            assert [a.shape for a in arrays] == [(20,)]
+            assert not any(isinstance(v, np.ndarray) for v in vars(est.fit).values())

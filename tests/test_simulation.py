@@ -18,7 +18,6 @@ from causalboot.simulation import (
 )
 
 from oracles import COV_X1_W_ORACLE
-from test_data import table_bytes, traced
 
 
 def replay_dgm(n, key, p=2, randomized=False):
@@ -45,13 +44,21 @@ class TestGenerateDgm:
         np.testing.assert_array_equal(sample.table.y, y)
         assert 0 < sample.table.n1 < 500
 
+    @pytest.mark.parametrize("p,randomized", [(2, False), (5, False), (2, True)])
+    def test_table_is_8_bytes_a_value_and_1_a_treatment(self, p, randomized, table_bytes):
+        # float64 y and x, and a one-byte treatment column
+        table = generate_dgm(300, cbrng.substream(6, cbrng.DOMAIN_DATASET, 0), p=p,
+                             randomized=randomized).table
+        assert table.w.dtype == np.int8
+        assert table_bytes(table) == 300 * (8 * (p + 1) + 1)
+
     def test_replay_with_more_confounders(self):
         key = (8, cbrng.DOMAIN_DATASET, 0)
         table = generate_dgm(400, cbrng.substream(*key), p=5).table
         for got, want in zip((table.y, table.w, table.x), replay_dgm(400, key, p=5)):
             np.testing.assert_array_equal(got, want)
 
-    def test_traced_peak_is_at_most_1_75_tables(self):
+    def test_traced_peak_is_at_most_1_75_tables(self, traced, table_bytes):
         n = 200_000
         sample, peak = traced(
             lambda: generate_dgm(n, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0), p=2)
