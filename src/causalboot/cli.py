@@ -235,13 +235,8 @@ def _json_safe(value):
     return value
 
 
-def _interval_dict(ci) -> dict:
-    return {"kind": ci.kind, "alpha": ci.alpha, "lower": ci.lower, "upper": ci.upper}
-
-
 def _subset_entry(est: SubsetEstimate) -> dict:
     """One subset of ``payload.subsets``."""
-    balance = est.balance
     return {
         "id": est.subset_id,
         "b0": est.b0,
@@ -255,13 +250,7 @@ def _subset_entry(est: SubsetEstimate) -> dict:
         "asym_upper": est.asym_upper,
         "redraws": est.redraws,
         "fit": dataclasses.asdict(est.fit),
-        "balance": {
-            "smd": dict(balance.smd),
-            "max_abs_smd": balance.max_abs_smd,
-            "threshold": balance.threshold,
-            "passed": balance.passed,
-            "not_applicable": list(balance.not_applicable),
-        },
+        "balance": dataclasses.asdict(est.balance),
     }
 
 
@@ -271,9 +260,9 @@ def _estimate_payload(result: BlbEstimate) -> dict:
             "tau_hat": result.tau_hat,
             "se": result.se,
             "hajek": result.hajek,
-            "ci": _interval_dict(result.ci),
-            "ci_percentile": _interval_dict(result.ci_percentile),
-            "ci_asymptotic": _interval_dict(result.ci_asymptotic),
+            "ci": dataclasses.asdict(result.ci),
+            "ci_percentile": dataclasses.asdict(result.ci_percentile),
+            "ci_asymptotic": dataclasses.asdict(result.ci_asymptotic),
             "n": result.n,
             "n0": result.n0,
             "n1": result.n1,

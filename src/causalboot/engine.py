@@ -1,9 +1,11 @@
 """Subset-bootstrap engine for the average treatment effect.
 
 For each of ``s`` subsets of size ``b`` drawn from the full table, the
-engine fits propensity scores, forms normalized arm weights, and draws
-``r`` replicate pairs of multinomial count vectors at the *full-data*
-arm sizes (n1, n0).  Each replicate yields
+engine fits propensity scores, and ``order_subset`` splits the subset
+into its arms and computes, once, the normalized arm weights and the
+covariate balance, into one ``SubsetFit`` record.  From that record the
+engine draws ``r`` replicate pairs of multinomial count vectors at the
+*full-data* arm sizes (n1, n0).  Each replicate yields
 
     tau_hat = (1/n1) * sum_treated(M1_i * y_i)
             - (1/n0) * sum_control(M0_i * y_i)
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .config import BlbConfig
+from .config import DEFAULT_BALANCE_THRESHOLD, BlbConfig
 from .data import ObservationTable, draw_subset, subset_size
 from .errors import EstimationError, RedrawBudgetError, SeparationError
 from .inference import BalanceReport, ConfidenceInterval, asymptotic_ci, hajek_ipw, percentile_ci, smd_balance
@@ -52,7 +54,6 @@ from .propensity import (
     load_external_scores,
     marginal_propensity,
     normalized_weights,
-    require_both_arms,
     truncate_scores,
 )
 
@@ -74,32 +75,6 @@ _GUIDE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
-class SubsetFit:
-    """One subset's data reordered controls-first, with weights attached."""
-
-    subset_id: int
-    y: np.ndarray
-    w: np.ndarray
-    x: np.ndarray
-    b0: int
-    b1: int
-    weights: ArmWeights
-    fit: PropensityFit
-
-    @property
-    def b(self) -> int:
-        return self.b0 + self.b1
-
-    @property
-    def y0(self) -> np.ndarray:
-        return self.y[: self.b0]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.y[self.b0 :]
-
-
-@dataclass(frozen=True)
 class FitSummary:
     """A subset's fit as the payload reports it: without its b scores."""
 
@@ -108,6 +83,32 @@ class FitSummary:
     iterations: int
     objective: float
     clamped: int
+
+
+@dataclass(frozen=True)
+class SubsetFit:
+    """The record of one subset attempt, each fact computed once by
+    ``order_subset``: the outcomes controls-first, the arm weights, the
+    covariate balance and the fit's diagnostics."""
+
+    subset_id: int
+    y: np.ndarray
+    b0: int
+    weights: ArmWeights
+    balance: BalanceReport
+    fit: FitSummary
+
+    @property
+    def b1(self) -> int:
+        return self.y.shape[0] - self.b0
+
+    @property
+    def y0(self) -> np.ndarray:
+        return self.y[: self.b0]
+
+    @property
+    def y1(self) -> np.ndarray:
+        return self.y[self.b0 :]
 
 
 @dataclass
@@ -159,32 +160,34 @@ def order_subset(
     indices: np.ndarray,
     fit: PropensityFit,
     subset_id: int = 0,
+    balance_threshold: float = DEFAULT_BALANCE_THRESHOLD,
 ) -> SubsetFit:
-    """Reorder a subset controls-first and attach normalized weights.
+    """Split a subset into its arms, weigh them and check their balance.
 
-    The reorder is stable: rows keep their original relative order
-    within each arm.  Raises ``DegenerateSubsetError`` when the subset
-    has a single arm.
+    The weights come from the scores in index order.  The outcomes and
+    covariates are gathered controls-first, and stably, so rows keep
+    their original relative order within each arm, which is the order
+    of the weights; the covariates are dropped once the balance is
+    computed.  ``normalized_weights`` raises ``DegenerateSubsetError``
+    when the subset has a single arm.
     """
     w_sub = table.w[indices]
-    b1 = require_both_arms(w_sub)
-    b = w_sub.shape[0]
-    if fit.scores.shape[0] != b:
-        raise EstimationError("fitted scores do not match subset size")
-    order = np.argsort(w_sub, kind="stable")
-    idx = np.asarray(indices)[order]
-    w_ord = w_sub[order]
-    fit_ord = replace(fit, scores=fit.scores[order])
-    weights = normalized_weights(fit_ord, w_ord)
+    weights = normalized_weights(fit, w_sub)
+    b0 = weights.w0.shape[0]
+    rows = indices[np.argsort(w_sub, kind="stable")]
+    # one gather per array, its arms views of it: copies per arm leave the
+    # traced peak as it is, but raised the max RSS of run_blb at n = 1e6,
+    # b = 125,893 by about 0.7 MB (heap layout)
+    y = table.y[rows]
+    x = table.x[rows]
+    balance = smd_balance(x[:b0], x[b0:], weights, balance_threshold, table.covariate_names)
     return SubsetFit(
         subset_id=subset_id,
-        y=table.y[idx],
-        w=w_ord,
-        x=table.x[idx],
-        b0=b - b1,
-        b1=b1,
+        y=y,
+        b0=b0,
         weights=weights,
-        fit=fit_ord,
+        balance=balance,
+        fit=FitSummary(fit.method, fit.converged, fit.iterations, fit.objective, fit.clamped),
     )
 
 
@@ -321,7 +324,6 @@ def run_subset(
     alpha: float,
     stream: np.random.Generator,
     redraws: int = 0,
-    balance: BalanceReport | None = None,
 ) -> SubsetEstimate:
     """Draw ``r`` replicate count pairs and summarize their estimates.
 
@@ -339,11 +341,8 @@ def run_subset(
     mean = float(draws.mean())
     se = float(draws.std(ddof=1))
     pct = percentile_ci(draws, alpha)
-    hajek = hajek_ipw(subsetfit.y, subsetfit.w, subsetfit.weights)
+    hajek = hajek_ipw(subsetfit.y0, subsetfit.y1, weights)
     asym = asymptotic_ci(hajek, se, alpha)
-    if balance is None:
-        balance = smd_balance(subsetfit.x, subsetfit.w, subsetfit.weights)
-    fit = subsetfit.fit
     return SubsetEstimate(
         subset_id=subsetfit.subset_id,
         b0=subsetfit.b0,
@@ -357,8 +356,8 @@ def run_subset(
         asym_lower=asym.lower,
         asym_upper=asym.upper,
         redraws=redraws,
-        balance=balance,
-        fit=FitSummary(fit.method, fit.converged, fit.iterations, fit.objective, fit.clamped),
+        balance=subsetfit.balance,
+        fit=subsetfit.fit,
     )
 
 
@@ -403,7 +402,9 @@ def _run_one_subset(
         try:
             fit = _fit_scores(table, indices, config, external)
             fit = truncate_scores(fit, lo, hi)
-            subsetfit = order_subset(table, indices, fit, subset_id=k)
+            subsetfit = order_subset(
+                table, indices, fit, subset_id=k, balance_threshold=config.balance_threshold
+            )
         except EstimationError as exc:
             reasons.append(f"attempt {attempt}: {exc}")
             continue
@@ -415,13 +416,7 @@ def _run_one_subset(
         if max_weight > config.weight_cap:
             reasons.append(f"attempt {attempt}: weight {max_weight:.3g} above cap")
             continue
-        balance = smd_balance(
-            subsetfit.x,
-            subsetfit.w,
-            subsetfit.weights,
-            threshold=config.balance_threshold,
-            names=table.covariate_names,
-        )
+        balance = subsetfit.balance
         if config.redraw_on_imbalance and not balance.passed:
             reasons.append(
                 f"attempt {attempt}: max |SMD| {balance.max_abs_smd:.3g} above threshold"
@@ -438,7 +433,6 @@ def _run_one_subset(
             config.alpha,
             rep_stream,
             redraws=attempt,
-            balance=balance,
         )
         estimate.resample_seconds = time.perf_counter() - t0
         estimate.fit_seconds = fit_seconds

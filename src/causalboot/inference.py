@@ -71,43 +71,37 @@ def asymptotic_ci(hajek: float, se: float, alpha: float) -> ConfidenceInterval:
     return ConfidenceInterval(hajek - z * se, hajek + z * se, kind="asymptotic", alpha=alpha)
 
 
-def hajek_ipw(y: np.ndarray, w: np.ndarray, weights: ArmWeights) -> float:
-    """Normalized inverse-propensity (Hajek) ATE estimate.
+def hajek_ipw(y0: np.ndarray, y1: np.ndarray, weights: ArmWeights) -> float:
+    """Normalized inverse-propensity (Hajek) ATE estimate from the arms'
+    outcomes.
 
     sum_treated(w1_i * y_i) - sum_control(w0_i * y_i), with each arm's
     weights summing to one.
     """
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w)
-    treated = w == 1
-    y1 = y[treated]
-    y0 = y[~treated]
+    y0 = np.asarray(y0, dtype=np.float64)
+    y1 = np.asarray(y1, dtype=np.float64)
     if y1.size != weights.w1.size or y0.size != weights.w0.size:
         raise EstimationError("arm weights do not match arm sizes")
     return float(weights.w1 @ y1 - weights.w0 @ y0)
 
 
 def smd_balance(
-    x: np.ndarray,
-    w: np.ndarray,
+    x0: np.ndarray,
+    x1: np.ndarray,
     weights: ArmWeights,
     threshold: float = 0.1,
     names: tuple[str, ...] | None = None,
 ) -> BalanceReport:
-    """Weighted standardized mean difference of every covariate.
+    """Weighted standardized mean difference of every covariate, from the
+    arms' covariate rows.
 
     The numerator uses the arm weights; the denominator is the square
     root of the average of the two arms' unweighted sample variances.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    w = np.asarray(w)
-    treated = w == 1
-    x1 = x[treated]
-    x0 = x[~treated]
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
     if names is None:
-        names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
+        names = tuple(f"x{j + 1}" for j in range(x1.shape[1]))
 
     smd: dict[str, float] = {}
     skipped: list[str] = []

@@ -98,8 +98,8 @@ def require_both_arms(w: np.ndarray) -> int:
     """The number of treated rows of the 0/1 vector ``w``.
 
     Raises ``DegenerateSubsetError`` when ``w`` holds a single arm: the
-    fits, ``normalized_weights`` and ``order_subset`` all give this one
-    reason for it.
+    fits and ``normalized_weights``, which ``order_subset`` calls, all
+    give this one reason for it.
     """
     w = np.asarray(w)
     n1 = int(w.sum())
@@ -193,7 +193,11 @@ def fit_logistic_irls(
     signals perfect separation and raises ``SeparationError``.
     """
     x, w = _check_fit_inputs(x, w)
-    X = _design(x)
+    return _irls(_design(x), w, tol, max_iter)
+
+
+def _irls(X: np.ndarray, w: np.ndarray, tol: float, max_iter: int) -> PropensityFit:
+    """The IRLS fit on a checked design ``X`` and float 0/1 vector ``w``."""
     beta = np.zeros(X.shape[1])
     # Start at the intercept-only MLE so the first step is well scaled.
     rate = w.mean()
@@ -265,8 +269,8 @@ def fit_cbps(
     ||g||_inf < ``tol``.
     """
     x, w = _check_fit_inputs(x, w)
-    init = fit_logistic_irls(x, w)
     X = _design(x)
+    init = _irls(X, w, IRLS_TOL, IRLS_MAX_ITER)
 
     def newton_step(beta):
         g, jacobian = _balance_conditions(X, w, beta, jacobian=True)

@@ -18,10 +18,10 @@ import numpy as np
 from . import rng
 from .config import BlbConfig, DEFAULT_TRUNCATION
 from .data import ObservationTable
-from .engine import _fit_scores, iter_subsets, order_subset, run_blb
+from .engine import _fit_scores, iter_subsets, run_blb
 from .errors import ConfigError, EstimationError
 from .inference import hajek_ipw, percentile_ci
-from .propensity import expit, fit_logistic_irls, truncate_scores
+from .propensity import expit, fit_logistic_irls, normalized_weights, truncate_scores
 
 TRUE_ATE = 2.0
 
@@ -247,8 +247,8 @@ def oracle_interval(
         table = sample.table
         fit = fit_logistic_irls(table.x, table.w)
         fit = truncate_scores(fit, *truncation)
-        sf = order_subset(table, np.arange(table.n), fit)
-        estimates[t] = hajek_ipw(sf.y, sf.w, sf.weights)
+        weights = normalized_weights(fit, table.w)
+        estimates[t] = hajek_ipw(table.y[table.w == 0], table.y[table.w == 1], weights)
     ci = percentile_ci(estimates, alpha)
     return (ci.lower, ci.upper)
 

@@ -106,6 +106,25 @@ class TestAnalyze:
                 "objective": fit.objective, "clamped": fit.clamped,
             }
 
+    def test_constant_covariate_has_a_null_smd(self, tmp_path, write_csv):
+        # the marginal fit accepts a covariate that is constant in every
+        # subset; its SMD is NaN, written as null and left out of the max
+        gen = np.random.default_rng(8)
+        rows = [(repr(float(gen.standard_normal())), i % 2, repr(float(gen.standard_normal())), 3.0)
+                for i in range(400)]
+        path = write_csv("constant.csv", ["y", "w", "x1", "c"], rows)
+        args = analyze_args(path, tmp_path, **{"--covariates": "x1,c", "--method": "marginal"})
+        assert main(args) == 0
+        payload = json.loads((tmp_path / "result.json").read_text())["payload"]
+        for entry in payload["subsets"]:
+            balance = entry["balance"]
+            assert balance["smd"]["c"] is None
+            assert balance["not_applicable"] == ["c"]
+            assert balance["max_abs_smd"] == abs(balance["smd"]["x1"])
+        assert payload["diagnostics"]["max_abs_smd"] == max(
+            e["balance"]["max_abs_smd"] for e in payload["subsets"]
+        )
+
     def test_gamma_and_subset_size_conflict(self, dgm_csv, tmp_path):
         code = main(analyze_args(dgm_csv, tmp_path, **{"--subset-size": "100"}))
         assert code == 2

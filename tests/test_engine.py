@@ -17,8 +17,9 @@ import causalboot as cb
 from causalboot import engine
 from causalboot import rng as cbrng
 from causalboot.cli import main
-from causalboot.engine import SubsetFit, order_subset, run_blb, run_subset
+from causalboot.engine import FitSummary, SubsetFit, order_subset, run_blb, run_subset
 from causalboot.errors import DegenerateSubsetError, EstimationError, RedrawBudgetError
+from causalboot.inference import BalanceReport, smd_balance
 from causalboot.propensity import (
     ArmWeights, PropensityFit, fit_cbps, fit_logistic_irls, marginal_propensity, normalized_weights,
     truncate_scores,
@@ -45,12 +46,10 @@ def make_subsetfit(y0, y1, w0=None, w1=None):
     return SubsetFit(
         subset_id=0,
         y=np.concatenate([y0, y1]),
-        w=np.concatenate([np.zeros(b0, dtype=int), np.ones(b1, dtype=int)]),
-        x=np.zeros((b0 + b1, 1)),
         b0=b0,
-        b1=b1,
         weights=ArmWeights(w0=w0, w1=w1),
-        fit=constant_fit(np.full(b0 + b1, 0.5)),
+        balance=BalanceReport(smd={}, max_abs_smd=None, threshold=0.1, passed=True),
+        fit=FitSummary("external", True, 0, 0.0, 0),
     )
 
 
@@ -81,12 +80,11 @@ class TestOrderSubset:
         indices = np.array([1, 2, 3, 4])  # w = (1, 0, 1, 0)
         fit = constant_fit([0.4, 0.5, 0.6, 0.7])
         sf = order_subset(small_table, indices, fit)
-        assert list(sf.w) == [0, 0, 1, 1]
+        assert (sf.b0, sf.b1) == (2, 2)
         # controls 2, 4 keep their input order, then treated 1, 3
-        np.testing.assert_array_equal(sf.y, small_table.y[[2, 4, 1, 3]])
-        np.testing.assert_array_equal(sf.x, small_table.x[[2, 4, 1, 3]])
-        # scores permuted with the rows
-        np.testing.assert_array_equal(sf.fit.scores, [0.5, 0.7, 0.4, 0.6])
+        np.testing.assert_array_equal(sf.y0, small_table.y[[2, 4]])
+        np.testing.assert_array_equal(sf.y1, small_table.y[[1, 3]])
+        assert sf.fit == FitSummary("external", True, 0, 0.0, 0)
 
     def test_single_arm_raises_degenerate(self, small_table):
         controls = np.array([0, 2, 4, 6])
@@ -110,12 +108,21 @@ class TestOrderSubset:
         indices = np.array([0, 1, 2, 3])
         fit = constant_fit([0.2, 0.25, 0.4, 0.75])
         sf = order_subset(small_table, indices, fit)
-        expected = normalized_weights(
-            constant_fit([0.2, 0.4, 0.25, 0.75]),
-            np.array([0, 0, 1, 1]),
+        expected = normalized_weights(fit, small_table.w[indices])
+        np.testing.assert_array_equal(sf.weights.w0, expected.w0)
+        np.testing.assert_array_equal(sf.weights.w1, expected.w1)
+
+    def test_balance_is_that_of_the_arms(self, small_table):
+        indices = np.array([7, 0, 5, 2, 1, 6])  # controls 0, 2, 6; treated 7, 5, 1
+        fit = constant_fit([0.3, 0.6, 0.45, 0.5, 0.7, 0.35])
+        sf = order_subset(small_table, indices, fit, balance_threshold=0.25)
+        x = small_table.x
+        expected = smd_balance(
+            x[[0, 2, 6]], x[[7, 5, 1]], sf.weights, 0.25, small_table.covariate_names
         )
-        np.testing.assert_allclose(sf.weights.w0, expected.w0)
-        np.testing.assert_allclose(sf.weights.w1, expected.w1)
+        assert sf.balance == expected
+        assert sf.balance.threshold == 0.25
+        assert set(sf.balance.smd) == {"x1", "x2"}
 
 
 class TestDrawMultinomial:
@@ -571,6 +578,28 @@ class TestRunBlb:
             err = capsys.readouterr().err
             assert code == 4, method
             assert err == f"estimation error: {exc.value}\n"
+
+    def test_redraw_on_imbalance(self, dgm_table):
+        # at a threshold of 0.02 some logistic subsets of b=761 fail the
+        # balance check: without redraws they are used, with them redrawn
+        cfg = cb.BlbConfig(gamma=0.8, subsets=3, replicates=20, seed=5, balance_threshold=0.02)
+        kept = run_blb(dgm_table, cfg)
+        assert kept.diagnostics["balance_failures"] > 0
+        assert kept.diagnostics["total_redraws"] == 0
+        redrawn = run_blb(dgm_table, dataclasses.replace(cfg, redraw_on_imbalance=True))
+        assert redrawn.diagnostics["total_redraws"] > 0
+        assert redrawn.diagnostics["balance_failures"] == 0
+        assert all(e.balance.passed and e.balance.threshold == 0.02 for e in redrawn.subsets)
+        # no subset reaches an unreachable threshold
+        cfg = dataclasses.replace(
+            cfg, redraw_on_imbalance=True, balance_threshold=1e-9, max_redraws=2
+        )
+        with pytest.raises(RedrawBudgetError) as exc:
+            run_blb(dgm_table, cfg)
+        reasons = re.findall(r"attempt (\d+): ([^;]*)[;)]", str(exc.value))
+        assert [int(i) for i, _ in reasons] == [0, 1, 2]
+        for _, why in reasons:
+            assert re.fullmatch(r"max \|SMD\| \S+ above threshold", why)
 
     def test_single_arm_table_rejected(self):
         table = cb.ObservationTable(

@@ -118,13 +118,11 @@ class TestAsymptoticCi:
 
 class TestHajek:
     def test_uniform_weights_give_difference_in_means(self):
-        y = np.array([1.0, 2.0, 3.0, 10.0, 20.0])
-        w = np.array([0, 0, 0, 1, 1])
-        est = hajek_ipw(y, w, uniform_weights(3, 2))
+        est = hajek_ipw(np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0]), uniform_weights(3, 2))
         assert est == pytest.approx(15.0 - 2.0)
 
     def test_two_units(self):
-        est = hajek_ipw(np.array([1.0, 3.0]), np.array([0, 1]), uniform_weights(1, 1))
+        est = hajek_ipw(np.array([1.0]), np.array([3.0]), uniform_weights(1, 1))
         assert est == pytest.approx(2.0)
 
     def test_against_textbook_oracle_on_synthetic_data(self):
@@ -133,25 +131,26 @@ class TestHajek:
         table = sample.table
         fit = truncate_scores(fit_logistic_irls(table.x, table.w), 0.01, 0.99)
         weights = normalized_weights(fit, table.w)
-        est = hajek_ipw(table.y, table.w, weights)
+        est = hajek_ipw(table.y[table.w == 0], table.y[table.w == 1], weights)
         oracle_tau, oracle_se = hajek_with_sandwich(table.y, table.w, fit.scores)
         assert est == pytest.approx(oracle_tau, abs=1e-10)
         assert abs(est - 2.0) < 4 * oracle_se
 
     def test_shift_and_scale(self):
-        y = np.array([1.0, 2.0, 5.0, 8.0])
-        w = np.array([0, 1, 0, 1])
+        y0, y1 = np.array([1.0, 5.0]), np.array([2.0, 8.0])
         weights = ArmWeights(w0=np.array([0.25, 0.75]), w1=np.array([0.6, 0.4]))
-        base = hajek_ipw(y, w, weights)
-        assert hajek_ipw(y + 7.0, w, weights) == pytest.approx(base, abs=1e-12)
-        assert hajek_ipw(3.0 * y, w, weights) == pytest.approx(3.0 * base, rel=1e-12)
+        base = hajek_ipw(y0, y1, weights)
+        assert hajek_ipw(y0 + 7.0, y1 + 7.0, weights) == pytest.approx(base, abs=1e-12)
+        assert hajek_ipw(3.0 * y0, 3.0 * y1, weights) == pytest.approx(3.0 * base, rel=1e-12)
+
+    def test_arm_sizes_must_match_the_weights(self):
+        with pytest.raises(EstimationError, match="arm weights do not match arm sizes"):
+            hajek_ipw(np.array([1.0, 2.0]), np.array([3.0]), uniform_weights(1, 2))
 
 
 class TestSmdBalance:
     def test_identical_distributions_uniform_weights(self):
-        x = np.vstack([np.eye(3), np.eye(3)])
-        w = np.array([0, 0, 0, 1, 1, 1])
-        report = smd_balance(x, w, uniform_weights(3, 3))
+        report = smd_balance(np.eye(3), np.eye(3), uniform_weights(3, 3))
         assert all(v == pytest.approx(0.0) for v in report.smd.values())
         assert report.passed
 
@@ -160,34 +159,32 @@ class TestSmdBalance:
         table = sample.table
         fit = fit_cbps(table.x, table.w)
         weights = normalized_weights(fit, table.w)
-        report = smd_balance(table.x, table.w, weights, names=table.covariate_names)
+        x, w = table.x, table.w
+        report = smd_balance(x[w == 0], x[w == 1], weights, names=table.covariate_names)
         assert report.max_abs_smd <= 0.01
         assert report.passed
 
     def test_constant_covariate_flagged(self):
-        x = np.column_stack([np.ones(6), np.arange(6.0)])
-        w = np.array([0, 1, 0, 1, 0, 1])
-        report = smd_balance(x, w, uniform_weights(3, 3), names=("c", "t"))
+        x0 = np.column_stack([np.ones(3), [0.0, 2.0, 4.0]])
+        x1 = np.column_stack([np.ones(3), [1.0, 3.0, 5.0]])
+        report = smd_balance(x0, x1, uniform_weights(3, 3), names=("c", "t"))
         assert "c" in report.not_applicable
         assert np.isnan(report.smd["c"])
         assert not np.isnan(report.smd["t"])
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((40, 2))
-        w = np.tile([0, 1], 20)
+        x0, x1 = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
         weights = uniform_weights(20, 20)
-        before = smd_balance(x, w, weights)
-        x2 = x.copy()
-        x2[:, 1] = -2.0 * x2[:, 1] + 5.0
-        after = smd_balance(x2, w, weights)
+        before = smd_balance(x0, x1, weights)
+        scale, shift = np.array([1.0, -2.0]), np.array([0.0, 5.0])
+        after = smd_balance(x0 * scale + shift, x1 * scale + shift, weights)
         assert abs(after.smd["x2"]) == pytest.approx(abs(before.smd["x2"]), rel=1e-10)
 
     def test_threshold_controls_pass_flag(self):
-        x = np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [0.0]])
-        w = np.array([0, 0, 0, 1, 1, 1])
+        x0, x1 = np.array([[0.0], [0.0], [1.0]]), np.array([[1.0], [1.0], [0.0]])
         weights = uniform_weights(3, 3)
-        strict = smd_balance(x, w, weights, threshold=0.01)
-        loose = smd_balance(x, w, weights, threshold=10.0)
+        strict = smd_balance(x0, x1, weights, threshold=0.01)
+        loose = smd_balance(x0, x1, weights, threshold=10.0)
         assert not strict.passed
         assert loose.passed

@@ -1,6 +1,8 @@
 """The damped-Newton loop both propensity fits run: stopping rules, typed
 failures on hostile designs, and the balancing fit's line search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -119,6 +121,14 @@ class TestStoppingRules:
         result = run_blb(table, config)
         assert result.diagnostics["nonconverged_fits"] == 0
         assert all(0 < e.fit.iterations <= 4 for e in result.subsets)
+
+    def test_cbps_checks_its_inputs_once(self, dgm_table):
+        # the IRLS start runs on the design the balancing fit checked
+        with mock.patch.object(
+            propensity, "_check_fit_inputs", wraps=propensity._check_fit_inputs
+        ) as check:
+            fit_cbps(dgm_table.x, dgm_table.w)
+        assert check.call_count == 1
 
     def test_cbps_builds_a_jacobian_only_for_a_step(self, monkeypatch, dgm_table):
         # X'DX is built once per step taken, never at the converged iterate
