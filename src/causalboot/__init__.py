@@ -39,7 +39,6 @@ from .propensity import (
     truncate_scores,
 )
 from .simulation import (
-    DgmSample,
     RelErrTrajectory,
     ReplicationSummary,
     generate_dgm,
@@ -59,7 +58,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "DegenerateSubsetError",
-    "DgmSample",
     "EstimationError",
     "ObservationTable",
     "PropensityFit",

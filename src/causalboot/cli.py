@@ -30,7 +30,7 @@ from .config import BlbConfig, CI_KINDS
 from .data import NA_POLICIES, load_csv
 from .engine import BlbEstimate, SubsetEstimate, run_blb
 from .errors import CausalbootError, ConfigError, DataError, EstimationError
-from .simulation import benchmark_timing, run_relerr_harness, run_replications
+from .simulation import TRUE_ATE, benchmark_timing, run_relerr_harness, run_replications
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -392,13 +392,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n, R = opts.n, opts.replications
     out_dir = Path(opts.output)
 
-    summary = run_replications(R, n, config, seed=config.seed, threads=config.threads)
+    summary = run_replications(R, n, config)
     payload = _json_safe(
         {
             "replications": summary.replications,
             "n": n,
-            "tau": summary.tau,
-            "mean_tau_hat": summary.bias + summary.tau,
+            "tau": TRUE_ATE,
+            "mean_tau_hat": summary.bias + TRUE_ATE,
             "bias": summary.bias,
             "mcse_mean": summary.mcse_mean,
             "mean_se": summary.mean_se,

@@ -13,10 +13,10 @@ engine draws ``r`` replicate pairs of multinomial count vectors at the
 and per-subset summaries (mean, bootstrap SD, percentile bounds, the
 whole-subset Hajek estimate) are averaged across subsets.
 
-``iter_subsets`` is the one subset pipeline and ``run_subset`` the one
-replicate kernel; ``run_blb`` folds the former into a ``BlbEstimate``,
-and the relative-error study in ``simulation`` folds it into running
-intervals.  ``draw_arm_totals`` is the only place replicate counts are
+``iter_subsets`` is the one subset pipeline, ``fit_scores`` the one fit
+dispatcher and ``run_subset`` the one replicate kernel.  ``run_blb``
+folds the subset pipeline into a ``BlbEstimate``, and the
+relative-error study in ``simulation`` folds it into running intervals.  ``draw_arm_totals`` is the only place replicate counts are
 drawn.  It draws them exactly by Poissonization: Poisson counts whose
 sum falls short of the arm size, topped up by categorical draws, with
 the rare row that overshoots replaced by a fresh multinomial row.  It
@@ -361,12 +361,17 @@ def run_subset(
     )
 
 
-def _fit_scores(
+def fit_scores(
     table: ObservationTable,
     indices: np.ndarray,
     config: BlbConfig,
     external: PropensityFit | None,
 ) -> PropensityFit:
+    """The one fit dispatcher: propensity scores of the rows ``indices``
+    by ``config.estimator``, with ``external`` the full-data scores when
+    the estimator is external.  The fits are looked up as ``engine``
+    module globals at call time, so a wrapper set on them sees every fit.
+    """
     w_sub = table.w[indices]
     if config.estimator == "logistic":
         return fit_logistic_irls(table.x[indices], w_sub)
@@ -400,7 +405,7 @@ def _run_one_subset(
         indices = draw_subset(table, b, stream)
         t0 = time.perf_counter()
         try:
-            fit = _fit_scores(table, indices, config, external)
+            fit = fit_scores(table, indices, config, external)
             fit = truncate_scores(fit, lo, hi)
             subsetfit = order_subset(
                 table, indices, fit, subset_id=k, balance_threshold=config.balance_threshold

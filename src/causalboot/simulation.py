@@ -3,7 +3,9 @@ replications, relative-error trajectories, and timing benchmarks.
 
 All studies run the engine's own code: replications and timing runs call
 ``run_blb``, the relative-error study folds ``iter_subsets`` subset by
-subset, and the fit-only timing grid calls the engine's fit dispatcher.
+subset, and the fit-only timing grid calls ``engine.fit_scores``, the
+engine's one fit dispatcher.  Replications take their seed and pool size
+from the ``BlbConfig`` they run.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .config import BlbConfig, DEFAULT_TRUNCATION
+from .config import BlbConfig
 from .data import ObservationTable
-from .engine import _fit_scores, iter_subsets, run_blb
+from .engine import fit_scores, iter_subsets, run_blb
 from .errors import ConfigError, EstimationError
 from .inference import hajek_ipw, percentile_ci
 from .propensity import expit, fit_logistic_irls, normalized_weights, truncate_scores
@@ -26,42 +28,17 @@ from .propensity import expit, fit_logistic_irls, normalized_weights, truncate_s
 TRUE_ATE = 2.0
 
 
-@dataclass(frozen=True)
-class DgmSample:
-    """Synthetic dataset with its hidden truth retained.
+def generate_dgm(
+    n: int, stream: np.random.Generator, p: int = 2, randomized: bool = False
+) -> ObservationTable:
+    """One draw of the confounded benchmark process.
 
     ``p`` standard-normal confounders (two by default); treatment
     assigned with probability inverse-logit(c*x1 + ... + c*xp), c =
-    -0.5*sqrt(2/p), or 0.5 in the randomized variant; outcome
-    y = x1 + ... + xp + eps + 2*w.  The per-unit effect is exactly
-    ``tau``, so neither potential outcome is stored; the true propensity
-    is recomputed from the table's covariates when it is asked for.
-    """
-
-    table: ObservationTable
-    randomized: bool = False
-    tau: float = TRUE_ATE
-
-    @property
-    def true_propensity(self) -> np.ndarray:
-        if self.randomized:
-            return np.full(self.table.n, 0.5)
-        return _propensity(self.table.x)
-
-
-def _propensity(x: np.ndarray) -> np.ndarray:
-    p = x.shape[1]
-    z = x @ np.full(p, -0.5 * np.sqrt(2.0 / p))
-    return expit(z, out=z)
-
-
-def generate_dgm(
-    n: int, stream: np.random.Generator, p: int = 2, randomized: bool = False
-) -> DgmSample:
-    """One draw of the confounded benchmark process.
-
-    The assignment coefficient -0.5*sqrt(2/p) keeps the variance of the
-    linear predictor at that of the two-covariate process for any p.
+    -0.5*sqrt(2/p), which keeps the variance of the linear predictor at
+    that of the two-covariate process for any p; outcome
+    y = x1 + ... + xp + eps + TRUE_ATE*w.  Every unit's effect is
+    exactly ``TRUE_ATE``, so neither potential outcome is stored.
     ``randomized`` assigns W ~ Bernoulli(0.5) independent of the
     covariates, the setting the marginal estimator is meant for.  The
     stream is consumed in the same order either way: covariates, the
@@ -75,19 +52,24 @@ def generate_dgm(
         raise ConfigError(f"p must be at least 1, got {p}")
     x = stream.standard_normal((n, p))
     u = stream.random(n)
-    pi = 0.5 if randomized else _propensity(x)
+    if randomized:
+        pi = 0.5
+    else:
+        pi = x @ np.full(p, -0.5 * np.sqrt(2.0 / p))
+        expit(pi, out=pi)
     w = np.empty(n, dtype=np.int8)
     np.less(u, pi, out=w)
     del u, pi  # gone before the noise is drawn
     y = x.sum(axis=1)
     y += stream.standard_normal(n)
     np.add(y, TRUE_ATE, out=y, where=w == 1)
-    return DgmSample(table=ObservationTable(y=y, w=w, x=x), randomized=randomized)
+    return ObservationTable(y=y, w=w, x=x)
 
 
 def generate_wide_dgm(n: int, p: int, stream: np.random.Generator) -> ObservationTable:
-    """The table of ``generate_dgm`` with ``p`` confounders."""
-    return generate_dgm(n, stream, p).table
+    """``generate_dgm(n, stream, p)``; kept because the benchmark's
+    workloads (``perfbench/workloads.py``) import it."""
+    return generate_dgm(n, stream, p)
 
 
 @dataclass
@@ -107,7 +89,6 @@ class ReplicationSummary:
     """Aggregates over independent replications of the process."""
 
     records: list[ReplicationRecord]
-    tau: float
     bias: float
     mcse_mean: float
     mean_se: float
@@ -120,10 +101,10 @@ class ReplicationSummary:
 
     def zip_rows(self) -> list[dict]:
         """One row per replication with the centile rank of the
-        standardized error |tau_hat - tau| / se, for coverage plots."""
+        standardized error |tau_hat - TRUE_ATE| / se, for coverage plots."""
         stats = []
         for i, rec in enumerate(self.records):
-            z = abs(rec.tau_hat - self.tau) / rec.se if rec.se > 0 else float("inf")
+            z = abs(rec.tau_hat - TRUE_ATE) / rec.se if rec.se > 0 else float("inf")
             stats.append((z, i))
         ranks = {}
         for rank, (_, i) in enumerate(sorted(stats), start=1):
@@ -143,43 +124,43 @@ class ReplicationSummary:
 
 
 def run_replications(
-    R: int,
-    n: int,
-    config: BlbConfig,
-    seed: int,
-    threads: int = 1,
-    randomized: bool = False,
+    R: int, n: int, config: BlbConfig, randomized: bool = False
 ) -> ReplicationSummary:
-    """Analyze ``R`` fresh synthetic datasets and summarize bias/coverage.
+    """Analyze ``R`` fresh synthetic datasets and summarize bias and
+    coverage of ``TRUE_ATE``.
 
-    Each replication gets its own dataset substream and derived run
-    seed, so the summary is reproducible and schedule-independent.
+    ``config.seed`` is the root seed and ``config.threads`` the number of
+    replications run at once.  Replication i draws its dataset from
+    substream (seed, dataset, i) and runs ``config`` on one thread with
+    the derived seed (seed, i), so the summary is reproducible and
+    schedule-independent.
     """
     if R < 10:
         raise ConfigError(f"replications must be at least 10, got {R}")
     config.validate()
+    seed = config.seed
 
     def one(i: int) -> ReplicationRecord:
-        sample = generate_dgm(
+        table = generate_dgm(
             n, rng.substream(seed, rng.DOMAIN_DATASET, i), randomized=randomized
         )
         cfg = dataclasses.replace(config, seed=rng.derive_seed(seed, i), threads=1)
         t0 = time.perf_counter()
-        result = run_blb(sample.table, cfg)
+        result = run_blb(table, cfg)
         seconds = time.perf_counter() - t0
         return ReplicationRecord(
             tau_hat=result.tau_hat,
             se=result.se,
             lower=result.ci.lower,
             upper=result.ci.upper,
-            covered=result.ci.contains(sample.tau),
-            pct_covered=result.ci_percentile.contains(sample.tau),
-            asym_covered=result.ci_asymptotic.contains(sample.tau),
+            covered=result.ci.contains(TRUE_ATE),
+            pct_covered=result.ci_percentile.contains(TRUE_ATE),
+            asym_covered=result.ci_asymptotic.contains(TRUE_ATE),
             seconds=seconds,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
             records = list(pool.map(one, range(R)))
     else:
         records = [one(i) for i in range(R)]
@@ -190,7 +171,6 @@ def run_replications(
     q25, q50, q75 = np.quantile(seconds, [0.25, 0.5, 0.75])
     return ReplicationSummary(
         records=records,
-        tau=TRUE_ATE,
         bias=float(taus.mean() - TRUE_ATE),
         mcse_mean=float(taus.std(ddof=1) / np.sqrt(R)),
         mean_se=float(np.mean([r.se for r in records])),
@@ -227,29 +207,24 @@ class RelErrTrajectory:
     oracle_ci: tuple[float, float]
 
 
-def oracle_interval(
-    n: int,
-    oracle_reps: int,
-    seed: int,
-    alpha: float = 0.05,
-    truncation: tuple[float, float] = DEFAULT_TRUNCATION,
-) -> tuple[float, float]:
+def oracle_interval(n: int, oracle_reps: int, seed: int) -> tuple[float, float]:
     """Sampling-distribution interval of the full-data weighted estimator.
 
     Quantiles of the Hajek estimate (logistic scores, truncated) over
-    ``oracle_reps`` fresh datasets.
+    ``oracle_reps`` fresh datasets, at ``BlbConfig``'s default level and
+    truncation bounds, the ones the relative-error study runs BLB at.
     """
     if oracle_reps < 100:
         raise ConfigError(f"oracle_reps must be at least 100, got {oracle_reps}")
+    defaults = BlbConfig()
     estimates = np.empty(oracle_reps)
     for t in range(oracle_reps):
-        sample = generate_dgm(n, rng.substream(seed, rng.DOMAIN_ORACLE, t))
-        table = sample.table
+        table = generate_dgm(n, rng.substream(seed, rng.DOMAIN_ORACLE, t))
         fit = fit_logistic_irls(table.x, table.w)
-        fit = truncate_scores(fit, *truncation)
+        fit = truncate_scores(fit, *defaults.truncation)
         weights = normalized_weights(fit, table.w)
         estimates[t] = hajek_ipw(table.y[table.w == 0], table.y[table.w == 1], weights)
-    ci = percentile_ci(estimates, alpha)
+    ci = percentile_ci(estimates, defaults.alpha)
     return (ci.lower, ci.upper)
 
 
@@ -261,8 +236,6 @@ def run_relerr_harness(
     data_reps: int,
     seed: int,
     s_max: int = 10,
-    alpha: float = 0.05,
-    truncation: tuple[float, float] = DEFAULT_TRUNCATION,
 ) -> list[RelErrTrajectory]:
     """Relative-error trajectories versus the full-data oracle interval.
 
@@ -270,25 +243,23 @@ def run_relerr_harness(
     ``iter_subsets``, the pipeline ``run_blb`` uses: after subset s the
     running interval is the mean of the per-subset percentile bounds
     seen so far, and its relative error against the oracle interval is
-    recorded together with cumulative processing time.  The weight cap
-    is off (1.0) because the oracle interval has none.  Trajectories are
-    averaged over ``data_reps`` independent datasets shared across
-    gammas.  Every gamma's configuration is validated before the oracle
-    is computed.
+    recorded together with cumulative processing time.  Level and
+    truncation are ``BlbConfig``'s defaults, as in ``oracle_interval``;
+    the weight cap is off (1.0) because the oracle interval has none.
+    Trajectories are averaged over ``data_reps`` independent datasets
+    shared across gammas.  Every gamma's configuration is validated
+    before the oracle is computed.
     """
     if data_reps < 1:
         raise ConfigError("data_reps must be at least 1")
     configs = [
-        BlbConfig(
-            gamma=gamma, subsets=s_max, replicates=r, alpha=alpha,
-            truncation=truncation, weight_cap=1.0,
-        ).validate()
+        BlbConfig(gamma=gamma, subsets=s_max, replicates=r, weight_cap=1.0).validate()
         for gamma in gammas
     ]
-    oracle = oracle_interval(n, oracle_reps, seed, alpha=alpha, truncation=truncation)
+    oracle = oracle_interval(n, oracle_reps, seed)
 
     tables = [
-        generate_dgm(n, rng.substream(seed, rng.DOMAIN_DATASET, d)).table
+        generate_dgm(n, rng.substream(seed, rng.DOMAIN_DATASET, d))
         for d in range(data_reps)
     ]
 
@@ -345,9 +316,11 @@ def benchmark_timing(
     """Wall-time benchmark over (n, p, method, s) cells.
 
     Standard mode times full runs with the comparable-size convention
-    b = n/s.  Grid mode reproduces the wide-data exercise: for each
-    (n, p) it times ``s`` consecutive propensity fits on one dataset of
-    size n/s, skipping the resampling stage.
+    b = n/s, on an n-row dataset drawn from substream (seed, bench,
+    n_index, p_index).  Grid mode reproduces the wide-data exercise: it
+    times ``s`` consecutive propensity fits, without resampling, on a
+    b-row dataset drawn from substream (seed, bench, n_index, p_index,
+    s).  Each cell draws its dataset before its timed runs.
     """
     if reps < 1:
         raise ConfigError(f"reps must be at least 1, got {reps}")
@@ -357,45 +330,31 @@ def benchmark_timing(
     cells: list[TimingCell] = []
     for n_index, n in enumerate(ns):
         for p_index, p_val in enumerate(ps):
-            datasets = {}
             for method in estimators:
                 for s in s_values:
                     b = int(round(n / s))
-                    if grid:
-                        key = (b, p_val)
-                        if key not in datasets:
-                            datasets[key] = generate_wide_dgm(
-                                b, p_val, rng.substream(seed, rng.DOMAIN_BENCH, n_index, p_index, s)
-                            )
-                        table = datasets[key]
-                        cfg = BlbConfig(estimator=method).validate()
-                        rows = np.arange(table.n)
-                        seconds = []
-                        for rep in range(reps):
-                            t0 = time.perf_counter()
-                            for k in range(s):
-                                _fit_scores(table, rows, cfg, None)
-                            seconds.append(time.perf_counter() - t0)
-                    else:
-                        key = (n, p_val)
-                        if key not in datasets:
-                            datasets[key] = generate_wide_dgm(
-                                n, p_val, rng.substream(seed, rng.DOMAIN_BENCH, n_index, p_index)
-                            )
-                        table = datasets[key]
-                        seconds = []
-                        for rep in range(reps):
-                            cfg = BlbConfig(
-                                gamma=None,
-                                subset_size=b,
-                                subsets=s,
-                                replicates=r,
-                                seed=rng.derive_seed(seed, n_index, p_index, s, rep),
-                                estimator=method,
-                            )
-                            t0 = time.perf_counter()
+                    key = (n_index, p_index, s) if grid else (n_index, p_index)
+                    table = generate_dgm(
+                        b if grid else n, rng.substream(seed, rng.DOMAIN_BENCH, *key), p_val
+                    )
+                    rows = np.arange(b) if grid else None
+                    seconds = []
+                    for rep in range(reps):
+                        cfg = BlbConfig(
+                            gamma=None,
+                            subset_size=b,
+                            subsets=s,
+                            replicates=r,
+                            seed=rng.derive_seed(seed, n_index, p_index, s, rep),
+                            estimator=method,
+                        ).validate()
+                        t0 = time.perf_counter()
+                        if grid:
+                            for _ in range(s):
+                                fit_scores(table, rows, cfg, None)
+                        else:
                             run_blb(table, cfg)
-                            seconds.append(time.perf_counter() - t0)
+                        seconds.append(time.perf_counter() - t0)
                     cells.append(
                         TimingCell(n=n, p=p_val, method=method, s=s, seconds=seconds)
                     )

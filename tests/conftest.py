@@ -35,7 +35,7 @@ def small_table():
 @pytest.fixture(scope="session")
 def dgm_table():
     """One medium synthetic dataset shared across tests (n=4000)."""
-    return generate_dgm(4000, cbrng.substream(2024, cbrng.DOMAIN_DATASET, 0)).table
+    return generate_dgm(4000, cbrng.substream(2024, cbrng.DOMAIN_DATASET, 0))
 
 
 @pytest.fixture

@@ -45,9 +45,10 @@ def report(criterion, name, passed, detail):
 # ---------------------------------------------------------------------
 
 def _unbiasedness(estimator, seed):
-    cfg = cb.BlbConfig(gamma=0.8, subsets=5, replicates=100, seed=0, estimator=estimator)
-    summary = run_replications(200, 5000, cfg, seed=seed, threads=THREADS)
-    return summary
+    cfg = cb.BlbConfig(
+        gamma=0.8, subsets=5, replicates=100, seed=seed, estimator=estimator, threads=THREADS
+    )
+    return run_replications(200, 5000, cfg)
 
 
 @pytest.mark.parametrize("estimator", ["logistic", "cbps"])
@@ -87,11 +88,9 @@ def test_unbiasedness_marginal():
 
 @pytest.fixture(scope="module")
 def coverage_runs():
-    base = cb.BlbConfig(gamma=0.8, subsets=10, replicates=100, seed=0)
-    s10 = run_replications(500, 5000, base, seed=2002, threads=THREADS)
-    s2 = run_replications(
-        500, 5000, dataclasses.replace(base, subsets=2), seed=2002, threads=THREADS
-    )
+    base = cb.BlbConfig(gamma=0.8, subsets=10, replicates=100, seed=2002, threads=THREADS)
+    s10 = run_replications(500, 5000, base)
+    s2 = run_replications(500, 5000, dataclasses.replace(base, subsets=2))
     return s10, s2
 
 
@@ -133,8 +132,7 @@ def test_coverage_asymptotic(coverage_runs):
 def test_replicate_mean_matches_subset_estimate():
     hits = 0
     for k in range(20):
-        sample = generate_dgm(2000, cbrng.substream(3000 + k, cbrng.DOMAIN_DATASET, 0))
-        table = sample.table
+        table = generate_dgm(2000, cbrng.substream(3000 + k, cbrng.DOMAIN_DATASET, 0))
         idx = cb.draw_subset(table, 500, cbrng.substream(3000 + k, 1, 0, 0))
         fit = truncate_scores(fit_logistic_irls(table.x[idx], table.w[idx]), 0.01, 0.99)
         sf = order_subset(table, idx, fit, subset_id=k)

@@ -18,8 +18,7 @@ DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 def export_dgm_csv(path, n=1200, seed=0):
-    sample = generate_dgm(n, cbrng.substream(seed, cbrng.DOMAIN_DATASET, 0))
-    table = sample.table
+    table = generate_dgm(n, cbrng.substream(seed, cbrng.DOMAIN_DATASET, 0))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["y", "w", "x1", "x2"])

@@ -270,8 +270,7 @@ class TestReplicateEstimate:
     def test_expectation_matches_hajek_estimate(self):
         # mean replicate estimate converges to the whole-subset weighted
         # estimate; four MC standard errors at r=10000
-        sample = generate_dgm(2000, cbrng.substream(41, cbrng.DOMAIN_DATASET, 0))
-        table = sample.table
+        table = generate_dgm(2000, cbrng.substream(41, cbrng.DOMAIN_DATASET, 0))
         for k in range(2):
             idx = cb.draw_subset(table, 500, cbrng.substream(41, 1, k, 0))
             fit = truncate_scores(fit_logistic_irls(table.x[idx], table.w[idx]), 0.01, 0.99)
@@ -357,8 +356,7 @@ class TestRunSubset:
         # seeded trials
         failures = 0
         for trial in range(100):
-            sample = generate_dgm(1000, cbrng.substream(trial, cbrng.DOMAIN_DATASET, 3))
-            table = sample.table
+            table = generate_dgm(1000, cbrng.substream(trial, cbrng.DOMAIN_DATASET, 3))
             idx = np.arange(table.n)
             fit = truncate_scores(fit_logistic_irls(table.x, table.w), 0.01, 0.99)
             sf = order_subset(table, idx, fit)
@@ -494,9 +492,9 @@ class TestRunBlb:
         assert abs(res.tau_hat - dim) < 5 * mc_se
 
     def test_synthetic_run_covers_truth(self):
-        sample = generate_dgm(20000, cbrng.substream(1, cbrng.DOMAIN_DATASET, 0))
+        table = generate_dgm(20000, cbrng.substream(1, cbrng.DOMAIN_DATASET, 0))
         cfg = cb.BlbConfig(gamma=0.8, subsets=5, replicates=100, seed=42)
-        res = run_blb(sample.table, cfg)
+        res = run_blb(table, cfg)
         assert res.b == 2759
         assert abs(res.tau_hat - 2.0) < 3 * res.se
         assert res.ci.lower <= res.ci.upper
@@ -643,7 +641,7 @@ class TestSubsetStageMemory:
         # n = 200,000 and gamma = 0.85 give b = 32,054.  The logistic fit
         # sets the peak, at about 17 b-vectors of 8 bytes; one replicate
         # block of 2**18 counts and their products would be 16 on its own
-        table = generate_dgm(200_000, cbrng.substream(11, cbrng.DOMAIN_DATASET, 0)).table
+        table = generate_dgm(200_000, cbrng.substream(11, cbrng.DOMAIN_DATASET, 0))
         cfg = cb.BlbConfig(gamma=0.85, subsets=2, replicates=20, seed=3)
         result, peak = traced(lambda: run_blb(table, cfg))
         assert result.b == 32_054

@@ -127,8 +127,7 @@ class TestHajek:
 
     def test_against_textbook_oracle_on_synthetic_data(self):
         # b=5000, logistic scores; band of four analytic sandwich SEs
-        sample = generate_dgm(5000, cbrng.substream(31, cbrng.DOMAIN_DATASET, 0))
-        table = sample.table
+        table = generate_dgm(5000, cbrng.substream(31, cbrng.DOMAIN_DATASET, 0))
         fit = truncate_scores(fit_logistic_irls(table.x, table.w), 0.01, 0.99)
         weights = normalized_weights(fit, table.w)
         est = hajek_ipw(table.y[table.w == 0], table.y[table.w == 1], weights)
@@ -155,8 +154,7 @@ class TestSmdBalance:
         assert report.passed
 
     def test_balancing_fit_drives_smd_to_zero(self):
-        sample = generate_dgm(2000, cbrng.substream(33, cbrng.DOMAIN_DATASET, 0))
-        table = sample.table
+        table = generate_dgm(2000, cbrng.substream(33, cbrng.DOMAIN_DATASET, 0))
         fit = fit_cbps(table.x, table.w)
         weights = normalized_weights(fit, table.w)
         x, w = table.x, table.w

@@ -116,7 +116,7 @@ class TestStoppingRules:
         assert fit.iterations <= 4
 
     def test_cbps_subsets_all_converge(self):
-        table = generate_dgm(2000, cbrng.substream(31, cbrng.DOMAIN_DATASET, 0)).table
+        table = generate_dgm(2000, cbrng.substream(31, cbrng.DOMAIN_DATASET, 0))
         config = BlbConfig(gamma=0.7, subsets=10, replicates=20, seed=31, estimator="cbps", threads=1)
         result = run_blb(table, config)
         assert result.diagnostics["nonconverged_fits"] == 0

@@ -63,8 +63,7 @@ class TestLogisticIrls:
     def test_recovers_assignment_model_coefficients(self):
         # b=50000 from the confounded process; truth (0, -0.5, -0.5),
         # tolerance three asymptotic SEs from the Fisher information
-        sample = generate_dgm(50000, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0))
-        table = sample.table
+        table = generate_dgm(50000, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0))
         fit = fit_logistic_irls(table.x, table.w)
         assert fit.converged
         se = logistic_fisher_se(_design(table.x), fit.scores)
@@ -157,8 +156,7 @@ class TestCbps:
         assert np.max(np.abs(g)) < 1e-6
 
     def test_weighted_means_agree_across_arms(self):
-        sample = generate_dgm(2000, cbrng.substream(9, cbrng.DOMAIN_DATASET, 1))
-        table = sample.table
+        table = generate_dgm(2000, cbrng.substream(9, cbrng.DOMAIN_DATASET, 1))
         fit = fit_cbps(table.x, table.w)
         assert fit.converged
         for j in range(table.p):
@@ -223,8 +221,8 @@ class TestTruncation:
         # true propensities under the process satisfy
         # P(pi < 0.01) = Phi(logit(0.01)/sqrt(0.5)) ~ 4e-11, so fitted
         # scores at b=1000 should almost never clamp
-        sample = generate_dgm(1000, cbrng.substream(13, cbrng.DOMAIN_DATASET, 2))
-        fit = fit_logistic_irls(sample.table.x, sample.table.w)
+        table = generate_dgm(1000, cbrng.substream(13, cbrng.DOMAIN_DATASET, 2))
+        fit = fit_logistic_irls(table.x, table.w)
         out = truncate_scores(fit, 0.01, 0.99)
         assert out.clamped / 1000 < 0.01
 

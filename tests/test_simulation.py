@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -36,54 +38,47 @@ def replay_dgm(n, key, p=2, randomized=False):
 class TestGenerateDgm:
     def test_unit_effect_is_exactly_two(self):
         key = (1, cbrng.DOMAIN_DATASET, 0)
-        sample = generate_dgm(500, cbrng.substream(*key))
+        table = generate_dgm(500, cbrng.substream(*key))
         y, w, x = replay_dgm(500, key)
-        np.testing.assert_array_equal(sample.table.x, x)
-        np.testing.assert_array_equal(sample.table.w, w)
+        np.testing.assert_array_equal(table.x, x)
+        np.testing.assert_array_equal(table.w, w)
         # y0 + 2 on treated rows and y0 elsewhere, both exactly
-        np.testing.assert_array_equal(sample.table.y, y)
-        assert 0 < sample.table.n1 < 500
+        np.testing.assert_array_equal(table.y, y)
+        assert 0 < table.n1 < 500
 
     @pytest.mark.parametrize("p,randomized", [(2, False), (5, False), (2, True)])
     def test_table_is_8_bytes_a_value_and_1_a_treatment(self, p, randomized, table_bytes):
         # float64 y and x, and a one-byte treatment column
         table = generate_dgm(300, cbrng.substream(6, cbrng.DOMAIN_DATASET, 0), p=p,
-                             randomized=randomized).table
+                             randomized=randomized)
         assert table.w.dtype == np.int8
         assert table_bytes(table) == 300 * (8 * (p + 1) + 1)
 
     def test_replay_with_more_confounders(self):
         key = (8, cbrng.DOMAIN_DATASET, 0)
-        table = generate_dgm(400, cbrng.substream(*key), p=5).table
+        table = generate_dgm(400, cbrng.substream(*key), p=5)
         for got, want in zip((table.y, table.w, table.x), replay_dgm(400, key, p=5)):
             np.testing.assert_array_equal(got, want)
 
     def test_traced_peak_is_at_most_1_75_tables(self, traced, table_bytes):
         n = 200_000
-        sample, peak = traced(
+        table, peak = traced(
             lambda: generate_dgm(n, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0), p=2)
         )
-        assert peak <= 1.75 * table_bytes(sample.table)
-
-    def test_propensity_formula(self):
-        sample = generate_dgm(200, cbrng.substream(2, cbrng.DOMAIN_DATASET, 0))
-        x = sample.table.x
-        np.testing.assert_allclose(
-            sample.true_propensity, expit(-0.5 * x[:, 0] - 0.5 * x[:, 1]), atol=1e-15
-        )
+        assert peak <= 1.75 * table_bytes(table)
 
     def test_marginal_treated_fraction(self):
         # E(pi) = 0.5 by symmetry; 5 sigma binomial band at n=100000
-        sample = generate_dgm(100000, cbrng.substream(3, cbrng.DOMAIN_DATASET, 0))
-        frac = sample.table.n1 / sample.table.n
+        table = generate_dgm(100000, cbrng.substream(3, cbrng.DOMAIN_DATASET, 0))
+        frac = table.n1 / table.n
         assert abs(frac - 0.5) < 5 * 0.5 / np.sqrt(100000)
 
     def test_covariate_treatment_covariance_matches_oracle(self):
         # frozen 1e7-draw oracle for Cov(X1, W); sample sd of the
         # empirical covariance at n=100000 is about 0.67/sqrt(n)
-        sample = generate_dgm(100000, cbrng.substream(4, cbrng.DOMAIN_DATASET, 0))
-        x1 = sample.table.x[:, 0]
-        w = sample.table.w
+        table = generate_dgm(100000, cbrng.substream(4, cbrng.DOMAIN_DATASET, 0))
+        x1 = table.x[:, 0]
+        w = table.w
         cov = float(np.mean(x1 * w) - x1.mean() * w.mean())
         assert cov < 0
         assert abs(cov - COV_X1_W_ORACLE) < 5 * 0.67 / np.sqrt(100000)
@@ -91,32 +86,30 @@ class TestGenerateDgm:
     def test_deterministic_given_stream_key(self):
         a = generate_dgm(100, cbrng.substream(9, cbrng.DOMAIN_DATASET, 5))
         b = generate_dgm(100, cbrng.substream(9, cbrng.DOMAIN_DATASET, 5))
-        np.testing.assert_array_equal(a.table.y, b.table.y)
-        np.testing.assert_array_equal(a.table.w, b.table.w)
+        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a.w, b.w)
 
     def test_randomized_variant_has_flat_propensity(self):
         key = (5, cbrng.DOMAIN_DATASET, 0)
-        sample = generate_dgm(50000, cbrng.substream(*key), randomized=True)
-        assert sample.true_propensity.shape == (50000,)
-        np.testing.assert_array_equal(sample.true_propensity, 0.5)
+        table = generate_dgm(50000, cbrng.substream(*key), randomized=True)
         y, w, x = replay_dgm(50000, key, randomized=True)
-        np.testing.assert_array_equal(sample.table.w, w)
-        np.testing.assert_array_equal(sample.table.y, y)
+        np.testing.assert_array_equal(table.w, w)
+        np.testing.assert_array_equal(table.y, y)
 
     def test_wide_generator_shapes(self):
         table = generate_wide_dgm(300, 7, cbrng.substream(6, cbrng.DOMAIN_BENCH, 0))
         assert table.x.shape == (300, 7)
         assert 0 < table.n1 < 300
         # the same process: its bytes are generate_dgm's with p=7
-        same = generate_dgm(300, cbrng.substream(6, cbrng.DOMAIN_BENCH, 0), 7).table
+        same = generate_dgm(300, cbrng.substream(6, cbrng.DOMAIN_BENCH, 0), 7)
         for a, b in ((table.y, same.y), (table.w, same.w), (table.x, same.x)):
             assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
 def summary():
-    cfg = cb.BlbConfig(gamma=0.7, subsets=4, replicates=60, seed=0)
-    return run_replications(20, 1500, cfg, seed=101)
+    cfg = cb.BlbConfig(gamma=0.7, subsets=4, replicates=60, seed=101)
+    return run_replications(20, 1500, cfg)
 
 
 class TestRunReplications:
@@ -136,22 +129,33 @@ class TestRunReplications:
         assert all(r["lower"] <= r["upper"] for r in rows)
 
     def test_thread_schedule_invariance(self):
-        cfg = cb.BlbConfig(gamma=0.7, subsets=3, replicates=40, seed=0)
-        one = run_replications(12, 800, cfg, seed=55, threads=1)
-        two = run_replications(12, 800, cfg, seed=55, threads=4)
+        cfg = cb.BlbConfig(gamma=0.7, subsets=3, replicates=40, seed=55)
+        one = run_replications(12, 800, dataclasses.replace(cfg, threads=1))
+        two = run_replications(12, 800, dataclasses.replace(cfg, threads=4))
         assert [r.tau_hat for r in one.records] == [r.tau_hat for r in two.records]
         assert one.coverage == two.coverage
+
+    def test_root_seed_is_the_configs(self):
+        cfg = cb.BlbConfig(gamma=0.7, subsets=2, replicates=20, seed=55)
+
+        def records(config):
+            return [(r.tau_hat, r.se, r.lower, r.upper)
+                    for r in run_replications(10, 600, config).records]
+
+        first = records(cfg)
+        assert records(cfg) == first
+        assert records(dataclasses.replace(cfg, seed=56)) != first
 
     def test_minimum_replication_count(self):
         cfg = cb.BlbConfig(gamma=0.7, subsets=2, replicates=10, seed=0)
         with pytest.raises(ConfigError):
-            run_replications(5, 500, cfg, seed=0)
+            run_replications(5, 500, cfg)
 
     def test_marginal_estimator_unbiased_on_randomized_data(self):
         # the marginal-rate estimator targets experiments; on randomized
         # assignment its replication mean stays near the truth
-        cfg = cb.BlbConfig(gamma=0.8, subsets=4, replicates=60, seed=0, estimator="marginal")
-        summary = run_replications(30, 2000, cfg, seed=202, randomized=True)
+        cfg = cb.BlbConfig(gamma=0.8, subsets=4, replicates=60, seed=202, estimator="marginal")
+        summary = run_replications(30, 2000, cfg, randomized=True)
         assert abs(summary.bias) <= 4 * summary.mcse_mean + 0.02
 
 
