@@ -93,6 +93,8 @@ def _show(value) -> str:
 
 
 _OUTPUT = Option("output", str, ".", "output directory")
+_REPLICATES = Option("replicates", int, _RUN.replicates, "bootstrap replicates r per subset")
+_SEED = Option("seed", int, _RUN.seed, "root seed")
 
 _BLB_OPTIONS = (
     Option("method", str, _RUN.estimator, "logistic | cbps | marginal | external:PATH"),
@@ -101,8 +103,8 @@ _BLB_OPTIONS = (
     Option("subset_size", int, _RUN.subset_size,
            "fixed subset size b (mutually exclusive with --gamma)"),
     Option("subsets", int, _RUN.subsets, "number of subsets s"),
-    Option("replicates", int, _RUN.replicates, "bootstrap replicates r per subset"),
-    Option("seed", int, _RUN.seed, "root seed"),
+    _REPLICATES,
+    _SEED,
     Option("ci", str, _RUN.ci_kind, "interval kind: " + " | ".join(CI_KINDS)),
     Option("alpha", float, _RUN.alpha, "interval level"),
     Option("truncate", _parse_bounds, _RUN.truncation, "score truncation bounds LO,HI"),
@@ -134,11 +136,11 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     "relerr": (
         Option("n", int, REQUIRED, "rows of the simulated dataset"),
         Option("gammas", _list_of(float), REQUIRED, "comma-separated gamma values"),
-        Option("replicates", int, _RUN.replicates, "bootstrap replicates r per subset"),
+        _REPLICATES,
         Option("oracle_reps", int, 1000,
                "fresh datasets the oracle interval is taken over (at least 100)"),
         Option("data_reps", int, 10, "independent datasets averaged over"),
-        Option("seed", int, _RUN.seed, "root seed"),
+        _SEED,
         _OUTPUT,
     ),
     "benchmark": (
@@ -150,7 +152,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
                f"{_show(BENCH_PS)}; {_show(GRID_PS)} with --grid)"),
         Option("reps", int, 100, "timed runs per cell"),
         Option("grid", _parse_bool, False, "time only the propensity fits, without resampling"),
-        Option("seed", int, _RUN.seed, "root seed"),
+        _SEED,
         _OUTPUT,
     ),
 }

@@ -16,7 +16,8 @@ whole-subset Hajek estimate) are averaged across subsets.
 ``iter_subsets`` is the one subset pipeline, ``fit_scores`` the one fit
 dispatcher and ``run_subset`` the one replicate kernel.  ``run_blb``
 folds the subset pipeline into a ``BlbEstimate``, and the
-relative-error study in ``simulation`` folds it into running intervals.  ``draw_arm_totals`` is the only place replicate counts are
+relative-error study in ``simulation`` folds it into running
+intervals.  ``draw_arm_totals`` is the only place replicate counts are
 drawn.  It draws them exactly by Poissonization: Poisson counts whose
 sum falls short of the arm size, topped up by categorical draws, with
 the rare row that overshoots replaced by a fresh multinomial row.  It

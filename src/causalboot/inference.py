@@ -10,6 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .config import DEFAULT_BALANCE_THRESHOLD
 from .errors import EstimationError
 from .propensity import ArmWeights
 
@@ -89,7 +90,7 @@ def smd_balance(
     x0: np.ndarray,
     x1: np.ndarray,
     weights: ArmWeights,
-    threshold: float = 0.1,
+    threshold: float = DEFAULT_BALANCE_THRESHOLD,
     names: tuple[str, ...] | None = None,
 ) -> BalanceReport:
     """Weighted standardized mean difference of every covariate, from the

@@ -86,14 +86,6 @@ def expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def _design(x: np.ndarray) -> np.ndarray:
-    """Prepend the intercept column."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.ndim != 2:
-        raise EstimationError("covariate matrix must be 2-dimensional")
-    return np.hstack([np.ones((x.shape[0], 1)), x])
-
-
 def require_both_arms(w: np.ndarray) -> int:
     """The number of treated rows of the 0/1 vector ``w``.
 
@@ -109,6 +101,9 @@ def require_both_arms(w: np.ndarray) -> int:
 
 
 def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The design [1, x] and ``w`` as floats, once the rows match, both
+    arms are present, rows outnumber parameters and no column of ``x``
+    has a standard deviation of 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -119,10 +114,13 @@ def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     require_both_arms(w)
     if b <= p + 1:
         raise EstimationError(f"need more rows than parameters: b={b}, p={p}")
-    if p > 0 and (x.std(axis=0) == 0.0).any():
-        j = int(np.flatnonzero(x.std(axis=0) == 0.0)[0])
-        raise EstimationError(f"covariate column {j} is constant; drop it (intercept is implicit)")
-    return x, w.astype(np.float64)
+    with np.errstate(all="ignore"):  # the SD of huge covariates overflows to inf
+        constant = np.flatnonzero(x.std(axis=0) == 0.0)
+    if constant.size:
+        raise EstimationError(
+            f"covariate column {int(constant[0])} is constant; drop it (intercept is implicit)"
+        )
+    return np.hstack([np.ones((b, 1)), x]), w.astype(np.float64)
 
 
 def _loglik(eta: np.ndarray, w: np.ndarray) -> float:
@@ -140,19 +138,23 @@ def _newton(method, X, beta, newton_step, merit, accept, max_iter) -> Propensity
     halvings find no such candidate the current point is returned as not
     converged.  A linear predictor max|X beta| beyond ``_SEPARATION_ETA``,
     a singular Jacobian or a fitted score of exactly 0 or 1 raises
-    ``SeparationError``.  The fit's ``objective`` is the residual norm
-    at the returned coefficients.
+    ``SeparationError``; a step that is not finite (X'X overflows on
+    covariates near 1e200) raises ``EstimationError``.  The fit's
+    ``objective`` is the residual norm at the returned coefficients.
     """
     value = merit(beta)
     converged, iterations = False, max_iter
     for it in range(max_iter + 1):
         try:
-            step, norm = newton_step(beta)
+            with np.errstate(all="ignore"):  # a non-finite step raises below
+                step, norm = newton_step(beta)
         except np.linalg.LinAlgError as exc:
             raise SeparationError(f"singular Jacobian at iteration {it + 1}") from exc
         if step is None:
             converged, iterations = True, it
             break
+        if not np.isfinite(step).all():
+            raise EstimationError(f"Newton step is not finite at iteration {it + 1}")
         if it == max_iter:
             break
         scale = 1.0
@@ -180,23 +182,18 @@ def _newton(method, X, beta, newton_step, merit, accept, max_iter) -> Propensity
     )
 
 
-def fit_logistic_irls(
-    x: np.ndarray,
-    w: np.ndarray,
-    tol: float = IRLS_TOL,
-    max_iter: int = IRLS_MAX_ITER,
-) -> PropensityFit:
+def fit_logistic_irls(x: np.ndarray, w: np.ndarray) -> PropensityFit:
     """Fit a logistic propensity model by Newton/IRLS.
 
     Convergence is declared when the max-norm of the score vector
-    X'(w - pi) falls below ``tol``.  Divergence of the linear predictor
+    X'(w - pi) falls below ``config.IRLS_TOL`` within
+    ``config.IRLS_MAX_ITER`` steps.  Divergence of the linear predictor
     signals perfect separation and raises ``SeparationError``.
     """
-    x, w = _check_fit_inputs(x, w)
-    return _irls(_design(x), w, tol, max_iter)
+    return _irls(*_check_fit_inputs(x, w))
 
 
-def _irls(X: np.ndarray, w: np.ndarray, tol: float, max_iter: int) -> PropensityFit:
+def _irls(X: np.ndarray, w: np.ndarray) -> PropensityFit:
     """The IRLS fit on a checked design ``X`` and float 0/1 vector ``w``."""
     beta = np.zeros(X.shape[1])
     # Start at the intercept-only MLE so the first step is well scaled.
@@ -208,7 +205,7 @@ def _irls(X: np.ndarray, w: np.ndarray, tol: float, max_iter: int) -> Propensity
         pi = expit(eta, out=eta)
         score = X.T @ (w - pi)
         score_norm = float(np.max(np.abs(score)))
-        if score_norm < tol:
+        if score_norm < IRLS_TOL:
             if float(np.max(np.abs(w - pi))) < _SATURATION_TOL:
                 raise SeparationError(
                     "fitted probabilities saturated at the outcomes; data are separated"
@@ -221,7 +218,7 @@ def _irls(X: np.ndarray, w: np.ndarray, tol: float, max_iter: int) -> Propensity
         "logistic", X, beta, newton_step, lambda beta: _loglik(X @ beta, w),
         # a step is taken unless the log-likelihood falls
         lambda new, old, scale: new >= old - 1e-12 * abs(old),
-        max_iter,
+        IRLS_MAX_ITER,
     )
 
 
@@ -249,12 +246,7 @@ def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray, jacobian
     return g, build_jacobian
 
 
-def fit_cbps(
-    x: np.ndarray,
-    w: np.ndarray,
-    tol: float = CBPS_TOL,
-    max_iter: int = CBPS_MAX_ITER,
-) -> PropensityFit:
+def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit:
     """Covariate-balancing propensity fit (just-identified, logistic link).
 
     Finds coefficients making the inverse-propensity-weighted covariate
@@ -266,16 +258,15 @@ def fit_cbps(
     solution.  Each step solves J(beta) step = -g(beta) with the exact
     Jacobian J = -X'DX/b, D > 0, so it descends 0.5*||g||^2, and is
     halved until that merit passes an Armijo test.  Convergence requires
-    ||g||_inf < ``tol``.
+    ||g||_inf < ``config.CBPS_TOL`` within ``config.CBPS_MAX_ITER`` steps.
     """
-    x, w = _check_fit_inputs(x, w)
-    X = _design(x)
-    init = _irls(X, w, IRLS_TOL, IRLS_MAX_ITER)
+    X, w = _check_fit_inputs(x, w)
+    init = _irls(X, w)
 
     def newton_step(beta):
         g, jacobian = _balance_conditions(X, w, beta, jacobian=True)
         g_norm = float(np.max(np.abs(g)))
-        if g_norm < tol:
+        if g_norm < CBPS_TOL:
             return None, g_norm
         return np.linalg.solve(jacobian(), -g), g_norm
 
@@ -288,7 +279,7 @@ def fit_cbps(
         # Armijo with c = 1e-4: along the Newton step the merit f has
         # slope -||g||^2 = -2f
         lambda new, old, scale: new <= old * (1.0 - 2e-4 * scale),
-        max_iter,
+        CBPS_MAX_ITER,
     )
 
 

@@ -235,7 +235,7 @@ def run_relerr_harness(
     oracle_reps: int,
     data_reps: int,
     seed: int,
-    s_max: int = 10,
+    s_max: int = BlbConfig.subsets,
 ) -> list[RelErrTrajectory]:
     """Relative-error trajectories versus the full-data oracle interval.
 
@@ -310,10 +310,10 @@ def benchmark_timing(
     ps: list[int],
     reps: int,
     seed: int,
-    r: int = 100,
     grid: bool = False,
 ) -> list[TimingCell]:
-    """Wall-time benchmark over (n, p, method, s) cells.
+    """Wall-time benchmark over (n, p, method, s) cells, each run at
+    ``BlbConfig``'s default replicate count.
 
     Standard mode times full runs with the comparable-size convention
     b = n/s, on an n-row dataset drawn from substream (seed, bench,
@@ -344,7 +344,6 @@ def benchmark_timing(
                             gamma=None,
                             subset_size=b,
                             subsets=s,
-                            replicates=r,
                             seed=rng.derive_seed(seed, n_index, p_index, s, rep),
                             estimator=method,
                         ).validate()

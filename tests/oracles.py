@@ -74,6 +74,11 @@ def weighted_arm_means(y, w, pi):
     return num1 / den1, num0 / den0
 
 
+def design(x):
+    """The covariates with an intercept column prepended."""
+    return np.column_stack([np.ones(len(x)), x])
+
+
 def logistic_fisher_se(x_design, scores):
     """Asymptotic coefficient SEs from the Fisher information."""
     lam = scores * (1.0 - scores)
@@ -91,6 +96,24 @@ def multinomial_pmf(n, w):
                 p *= wi**c / math.factorial(c)
             pmf[counts] = p
     return pmf
+
+
+def replicate_cumulants(w0, y0, n0, w1, y1, n1):
+    """Exact mean, variance and third cumulant of a replicate estimate
+    T1/n1 - T0/n0, with T_a = sum_i(M_i * y_i) and independent arms
+    M ~ multinomial(n_a, w_a).
+
+    Per arm, with mu = sum(w * y): mean mu, variance
+    sum(w * (y - mu)**2) / n_a and third cumulant
+    sum(w * (y - mu)**3) / n_a**2; the arms' cumulants add, the
+    control arm's odd ones with a minus sign.
+    """
+    out = np.zeros(3)
+    for w, y, n, sign in ((w1, y1, n1, 1.0), (w0, y0, n0, -1.0)):
+        mu = float(np.sum(w * y))
+        d = y - mu
+        out += (sign * mu, np.sum(w * d**2) / n, sign * np.sum(w * d**3) / n**2)
+    return tuple(float(v) for v in out)
 
 
 def poissonized_totals_longhand(stream, n_arm, w, y, r, topup_max):

@@ -375,6 +375,16 @@ class TestOptionTable:
         document = json.loads((tmp_path / "result.json").read_text())
         assert document["manifest"]["config"] == BlbConfig(threads=os.cpu_count() or 1).resolved()
 
+    @pytest.mark.parametrize("command, names", [
+        ("relerr", ("replicates", "seed")),
+        ("benchmark", ("seed",)),
+    ])
+    def test_shared_options_are_the_blb_entries(self, command, names):
+        blb = {opt.name: opt for opt in cli._BLB_OPTIONS}
+        table = {opt.name: opt for opt in cli.OPTIONS[command]}
+        for name in names:
+            assert table[name] is blb[name]
+
     @pytest.mark.parametrize("command", list(cli.OPTIONS))
     def test_help_exits_0(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,7 @@ from causalboot.propensity import (
     truncate_scores,
 )
 from causalboot.simulation import generate_dgm
-from oracles import multinomial_pmf, poissonized_totals_longhand
+from oracles import multinomial_pmf, poissonized_totals_longhand, replicate_cumulants
 
 
 def constant_fit(scores):
@@ -281,6 +283,41 @@ class TestReplicateEstimate:
             )
             mc_se = est.se / np.sqrt(10000)
             assert abs(est.mean - est.hajek) < 4 * mc_se
+
+
+class TestExactMoments:
+    """The replicate estimates of one subset at each benchmark workload's
+    shape against their exact law: the SD and the 2.5% and 97.5%
+    quantiles of r draws within four Monte Carlo SEs of the exact
+    values, the quantiles by a one-term Cornish-Fisher expansion."""
+
+    @pytest.mark.parametrize("n, p, gamma, b, r", [
+        (2_000, 2, 0.7, 205, 20_000),
+        (200_000, 5, 0.7, 5_137, 4_000),
+        (1_000_000, 2, 0.85, 125_893, 400),
+    ])
+    def test_draws_match_the_exact_cumulants(self, n, p, gamma, b, r):
+        table = generate_dgm(n, cbrng.substream(57, cbrng.DOMAIN_DATASET, 0), p)
+        assert cb.subset_size(n, gamma) == b
+        idx = cb.draw_subset(table, b, cbrng.substream(57, cbrng.DOMAIN_SUBSET, 0, 0))
+        fit = truncate_scores(fit_logistic_irls(table.x[idx], table.w[idx]), 0.01, 0.99)
+        sf = order_subset(table, idx, fit)
+        est = run_subset(sf, r, table.n0, table.n1, 0.05,
+                         cbrng.substream(57, cbrng.DOMAIN_REPLICATE, 0, 0))
+        mean, var, k3 = replicate_cumulants(
+            sf.weights.w0, sf.y0, table.n0, sf.weights.w1, sf.y1, table.n1
+        )
+        sd = math.sqrt(var)
+        assert abs(est.mean - mean) < 4 * sd / math.sqrt(r)
+        # SE of a sample SD, the draws being close to normal
+        assert abs(est.se - sd) < 4 * sd / math.sqrt(2 * (r - 1))
+        z = NormalDist().inv_cdf(0.975)
+        skew = k3 / sd**3
+        # SE of a sample quantile: sqrt(q(1 - q)/r) over the density there
+        q_se = math.sqrt(0.025 * 0.975 / r) * sd / NormalDist().pdf(z)
+        for bound, zq in ((est.q_lower, -z), (est.q_upper, z)):
+            exact = mean + sd * (zq + (zq**2 - 1.0) * skew / 6.0)
+            assert abs(bound - exact) < 4 * q_se
 
 
 @st.composite

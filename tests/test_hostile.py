@@ -1,5 +1,6 @@
 """Hostile inputs: tiny arms, a covariate constant within a subset, near
-separation, duplicate rows and external scores at the truncation bounds.
+separation, duplicate rows, external scores at the truncation bounds and
+covariates at extreme scales.
 
 Each case either returns a well-formed estimate (every subset of size b,
 split b0 + b1 = b) or refuses with a typed ``CausalbootError``; through
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import causalboot as cb
+from causalboot import rng as cbrng
 from causalboot.cli import main
 from causalboot.errors import CausalbootError
 
@@ -157,6 +159,31 @@ def test_external_scores_at_truncation_bounds(scores_path, seed, n, scores, conf
     check_run(cb.ObservationTable(y=y, w=w, x=x), config)
 
 
+def scaled_table(scale):
+    """The seed-1 simulated table (n=2000, p=2) with its covariates
+    multiplied by ``scale``."""
+    t = cb.generate_dgm(2000, cbrng.substream(1, cbrng.DOMAIN_DATASET, 0))
+    return cb.ObservationTable(y=t.y, w=t.w, x=t.x * scale)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["logistic", "cbps"])
+@pytest.mark.parametrize("scale, reason", [
+    # X'X overflows, so the first Newton step is not finite
+    (1e200, "Newton step is not finite"),
+    # each column's SD underflows to 0.  A constancy test that passes this
+    # table (max == min does) lets IRLS stop at its intercept-only start,
+    # whose score norm is already below the tolerance, and report the
+    # marginal estimate as converged
+    (1e-300, "is constant"),
+])
+def test_covariates_at_extreme_scales_are_refused(method, scale, reason):
+    config = cb.BlbConfig(gamma=0.7, subsets=3, replicates=20, seed=1, estimator=method)
+    with pytest.raises(cb.RedrawBudgetError) as exc:
+        cb.run_blb(scaled_table(scale), config)
+    assert str(exc.value).count(reason) == config.max_redraws + 1
+
+
 def hostile_csvs():
     """(name, rows) of CSV tables with y, w, x1, x2 columns."""
     g = np.random.default_rng(5)
@@ -196,3 +223,25 @@ def test_cli_analyze_exits_with_a_code(name, method, tmp_path, capsys):
     ])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["logistic", "cbps"])
+def test_cli_refuses_huge_covariates_in_one_line(method, tmp_path, capsys):
+    t = scaled_table(1e200)
+    path = tmp_path / "in.csv"
+    lines = ["y,w,x1,x2"] + [
+        f"{float(t.y[i])!r},{t.w[i]},{float(t.x[i, 0])!r},{float(t.x[i, 1])!r}"
+        for i in range(t.n)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main([
+        "analyze", "--input", str(path), "--outcome", "y", "--treatment", "w",
+        "--covariates", "x1,x2", "--method", method, "--gamma", "0.7", "--subsets", "3",
+        "--replicates", "20", "--seed", "1", "--threads", "1",
+        "--output", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("estimation error: subset 0: no usable subset")
+    assert err.count("\n") == 1

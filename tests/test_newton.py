@@ -15,6 +15,8 @@ from causalboot import rng as cbrng
 from causalboot.config import CBPS_TOL, IRLS_TOL
 from causalboot.simulation import generate_dgm
 
+from oracles import design
+
 FITS = [(fit_logistic_irls, IRLS_TOL), (fit_cbps, CBPS_TOL)]
 KINDS = ("random", "near_separated", "collinear", "binary")
 
@@ -67,7 +69,7 @@ class TestHostileDesigns:
                 continue
             assert np.isfinite(fit.scores).all()
             assert ((fit.scores > 0.0) & (fit.scores < 1.0)).all()
-            eta = propensity._design(x) @ fit.coefficients
+            eta = design(x) @ fit.coefficients
             assert np.max(np.abs(eta)) <= propensity._SEPARATION_ETA
             if fit.converged:
                 assert fit.objective < tol
@@ -104,8 +106,10 @@ class TestHostileDesigns:
 
 class TestStoppingRules:
     @pytest.mark.parametrize("fit_fn,tol", FITS)
-    def test_iteration_cap_reports_not_converged(self, dgm_table, fit_fn, tol):
-        fit = fit_fn(dgm_table.x, dgm_table.w, max_iter=1)
+    def test_iteration_cap_reports_not_converged(self, monkeypatch, dgm_table, fit_fn, tol):
+        cap = "CBPS_MAX_ITER" if fit_fn is fit_cbps else "IRLS_MAX_ITER"
+        monkeypatch.setattr(propensity, cap, 1)
+        fit = fit_fn(dgm_table.x, dgm_table.w)
         assert not fit.converged
         assert fit.iterations == 1
         assert fit.objective >= tol

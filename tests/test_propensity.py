@@ -17,10 +17,10 @@ from causalboot import (
     truncate_scores,
 )
 from causalboot import rng as cbrng
-from causalboot.propensity import _balance_conditions, _design, expit
+from causalboot.propensity import _balance_conditions, expit
 from causalboot.simulation import generate_dgm
 
-from oracles import logistic_fisher_se, two_cell_balance_scores, weighted_arm_means
+from oracles import design, logistic_fisher_se, two_cell_balance_scores, weighted_arm_means
 
 
 class TestExpit:
@@ -66,7 +66,7 @@ class TestLogisticIrls:
         table = generate_dgm(50000, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0))
         fit = fit_logistic_irls(table.x, table.w)
         assert fit.converged
-        se = logistic_fisher_se(_design(table.x), fit.scores)
+        se = logistic_fisher_se(design(table.x), fit.scores)
         truth = np.array([0.0, -0.5, -0.5])
         assert (np.abs(fit.coefficients - truth) <= 3 * se).all()
 
@@ -79,7 +79,7 @@ class TestLogisticIrls:
     def test_matches_scipy_minimize(self, dgm_table):
         # the same log-likelihood maximized by BFGS with its analytic
         # gradient X'(w - pi), run until that gradient is below 1e-10
-        X = _design(dgm_table.x)
+        X = design(dgm_table.x)
         w = dgm_table.w.astype(float)
 
         def negloglik(beta):
@@ -96,8 +96,8 @@ class TestLogisticIrls:
         np.testing.assert_allclose(fit.coefficients, ref.x, atol=1e-6)
 
     def test_gradient_below_tolerance_at_convergence(self, dgm_table):
-        fit = fit_logistic_irls(dgm_table.x, dgm_table.w, tol=1e-8)
-        X = _design(dgm_table.x)
+        fit = fit_logistic_irls(dgm_table.x, dgm_table.w)
+        X = design(dgm_table.x)
         score = X.T @ (dgm_table.w - fit.scores)
         assert np.max(np.abs(score)) < 1e-8
         assert fit.objective < 1e-8
@@ -144,15 +144,15 @@ class TestCbps:
         # balancing and likelihood solutions coincide at the cell rates
         x = np.tile([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0], 20).reshape(-1, 1)
         w = np.tile([0, 1, 1, 0, 0, 1], 20)
-        cbps = fit_cbps(x, w, tol=1e-6)
+        cbps = fit_cbps(x, w)
         irls = fit_logistic_irls(x, w)
         assert cbps.converged
         np.testing.assert_allclose(cbps.coefficients, irls.coefficients, atol=1e-5)
 
     def test_balance_conditions_below_tolerance(self, dgm_table):
-        fit = fit_cbps(dgm_table.x, dgm_table.w, tol=1e-6)
+        fit = fit_cbps(dgm_table.x, dgm_table.w)
         assert fit.converged
-        g = _balance_conditions(_design(dgm_table.x), dgm_table.w.astype(float), fit.coefficients)
+        g = _balance_conditions(design(dgm_table.x), dgm_table.w.astype(float), fit.coefficients)
         assert np.max(np.abs(g)) < 1e-6
 
     def test_weighted_means_agree_across_arms(self):
@@ -166,7 +166,7 @@ class TestCbps:
     def test_initialized_from_irls_improves_balance(self, dgm_table):
         irls = fit_logistic_irls(dgm_table.x, dgm_table.w)
         cbps = fit_cbps(dgm_table.x, dgm_table.w)
-        X = _design(dgm_table.x)
+        X = design(dgm_table.x)
         w = dgm_table.w.astype(float)
         g_irls = np.max(np.abs(_balance_conditions(X, w, irls.coefficients)))
         g_cbps = np.max(np.abs(_balance_conditions(X, w, cbps.coefficients)))

@@ -235,7 +235,7 @@ class TestOracleInterval:
 
 class TestBenchmarkTiming:
     def test_standard_mode_cells(self):
-        cells = benchmark_timing([1000], ["logistic", "marginal"], [2, 4], ps=[2], reps=2, seed=0, r=20)
+        cells = benchmark_timing([1000], ["logistic", "marginal"], [2, 4], ps=[2], reps=2, seed=0)
         assert len(cells) == 4
         for cell in cells:
             assert len(cell.seconds) == 2
