@@ -30,7 +30,7 @@ from .config import BlbConfig, CI_KINDS
 from .data import NA_POLICIES, load_csv
 from .engine import BlbEstimate, SubsetEstimate, run_blb
 from .errors import CausalbootError, ConfigError, DataError, EstimationError
-from .simulation import TRUE_ATE, benchmark_timing, run_relerr_harness, run_replications
+from .simulation import TRUE_ATE, ZIP_COLUMNS, benchmark_timing, run_relerr_harness, run_replications
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -256,36 +256,20 @@ def _subset_entry(est: SubsetEstimate) -> dict:
     }
 
 
-def _estimate_payload(result: BlbEstimate) -> dict:
-    return _json_safe(
-        {
-            "tau_hat": result.tau_hat,
-            "se": result.se,
-            "hajek": result.hajek,
-            "ci": dataclasses.asdict(result.ci),
-            "ci_percentile": dataclasses.asdict(result.ci_percentile),
-            "ci_asymptotic": dataclasses.asdict(result.ci_asymptotic),
-            "n": result.n,
-            "n0": result.n0,
-            "n1": result.n1,
-            "subset_size": result.b,
-            "subsets": [_subset_entry(est) for est in result.subsets],
-            "diagnostics": result.diagnostics,
-        }
-    )
-
-
-def _manifest(command: str, config_dict: dict, seed: int, started: str, threads: int,
-              input_digest: str | None = None) -> dict:
+def _estimate_payload(result: BlbEstimate, dropped_rows: int) -> dict:
     return {
-        "command": command,
-        "version": __version__,
-        "config": _json_safe(config_dict),
-        "seed": seed,
-        "threads": threads,
-        "input_digest": input_digest,
-        "started_utc": started,
-        "finished_utc": _utcnow(),
+        "tau_hat": result.tau_hat,
+        "se": result.se,
+        "hajek": result.hajek,
+        "ci": dataclasses.asdict(result.ci),
+        "ci_percentile": dataclasses.asdict(result.ci_percentile),
+        "ci_asymptotic": dataclasses.asdict(result.ci_asymptotic),
+        "n": result.n,
+        "n0": result.n0,
+        "n1": result.n1,
+        "subset_size": result.b,
+        "subsets": [_subset_entry(est) for est in result.subsets],
+        "diagnostics": {**result.diagnostics, "dropped_rows": dropped_rows},
     }
 
 
@@ -314,6 +298,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_result(path: Path, command: str, started: str, payload: dict, config: dict,
+                  seed: int, threads: int, timing: dict, input_digest: str | None = None) -> None:
+    """Write a command's one result document: its deterministic ``payload``,
+    a ``manifest`` of the run, and ``timing``, where every time goes."""
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "config": _json_safe(config),
+        "seed": seed,
+        "threads": threads,
+        "input_digest": input_digest,
+        "started_utc": started,
+        "finished_utc": _utcnow(),
+    }
+    _write_json(path, {"payload": _json_safe(payload), "manifest": manifest, "timing": timing})
 
 
 # ---------------------------------------------------------------------
@@ -349,9 +350,7 @@ def _settings(opts: argparse.Namespace) -> dict:
     return {key: value for key, value in vars(opts).items() if key != "output"}
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    started = _utcnow()
-    opts = _options(args)
+def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
     config = _build_config(opts)
     out_dir = Path(opts.output)
 
@@ -361,18 +360,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     load_seconds = time.perf_counter() - t0
     result = run_blb(table, config)
 
-    payload = _estimate_payload(result)
-    payload["diagnostics"]["dropped_rows"] = table.dropped_rows
-    document = {
-        "payload": payload,
-        "manifest": _manifest("analyze", config.resolved(), config.seed, started,
-                              config.threads, input_digest=_digest(opts.input)),
-        "timing": {
-            "load_seconds": load_seconds,
-            **result.timings,
-        },
-    }
-    _write_json(out_dir / "result.json", document)
+    _write_result(out_dir / "result.json", "analyze", started,
+                  _estimate_payload(result, table.dropped_rows),
+                  dataclasses.asdict(config), config.seed, config.threads,
+                  {"load_seconds": load_seconds, **result.timings},
+                  input_digest=_digest(opts.input))
     if opts.emit_draws:
         rows = [
             [est.subset_id, j, float(d)]
@@ -387,45 +379,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = _utcnow()
-    opts = _options(args)
+def cmd_simulate(opts: argparse.Namespace, started: str) -> int:
     config = _build_config(opts)
     n, R = opts.n, opts.replications
     out_dir = Path(opts.output)
 
     summary = run_replications(R, n, config)
-    payload = _json_safe(
-        {
-            "replications": summary.replications,
-            "n": n,
-            "tau": TRUE_ATE,
-            "mean_tau_hat": summary.bias + TRUE_ATE,
-            "bias": summary.bias,
-            "mcse_mean": summary.mcse_mean,
-            "mean_se": summary.mean_se,
-            "coverage": summary.coverage,
-            "coverage_mcse": summary.coverage_mcse,
-            "coverage_percentile": summary.coverage_percentile,
-            "coverage_asymptotic": summary.coverage_asymptotic,
-        }
-    )
-    document = {
-        "payload": payload,
-        "manifest": _manifest("simulate", {**config.resolved(), "n": n, "replications": R},
-                              config.seed, started, config.threads),
-        "timing": {
-            "per_replication_quartiles": list(summary.timing_quartiles),
-        },
+    payload = {
+        "replications": summary.replications,
+        "n": n,
+        "tau": TRUE_ATE,
+        "mean_tau_hat": summary.bias + TRUE_ATE,
+        "bias": summary.bias,
+        "mcse_mean": summary.mcse_mean,
+        "mean_se": summary.mean_se,
+        "coverage": summary.coverage,
+        "coverage_mcse": summary.coverage_mcse,
+        "coverage_percentile": summary.coverage_percentile,
+        "coverage_asymptotic": summary.coverage_asymptotic,
     }
-    _write_json(out_dir / "summary.json", document)
-    zip_rows = summary.zip_rows()
-    _write_csv(
-        out_dir / "zipplot.csv",
-        ["replication", "tau_hat", "se", "lower", "upper", "covered", "centile_rank"],
-        [[r["replication"], r["tau_hat"], r["se"], r["lower"], r["upper"],
-          r["covered"], r["centile_rank"]] for r in zip_rows],
-    )
+    _write_result(out_dir / "summary.json", "simulate", started, payload,
+                  {**dataclasses.asdict(config), "n": n, "replications": R},
+                  config.seed, config.threads,
+                  {"per_replication_quartiles": list(summary.timing_quartiles)})
+    _write_csv(out_dir / "zipplot.csv", list(ZIP_COLUMNS), summary.zip_rows())
     print(
         f"bias={summary.bias:.6g} (mcse {summary.mcse_mean:.3g}) "
         f"coverage={summary.coverage:.3f} (mcse {summary.coverage_mcse:.3f})"
@@ -433,9 +410,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_relerr(args: argparse.Namespace) -> int:
-    started = _utcnow()
-    opts = _options(args)
+def cmd_relerr(opts: argparse.Namespace, started: str) -> int:
     trajectories = run_relerr_harness(
         opts.n, opts.gammas, r=opts.replicates, oracle_reps=opts.oracle_reps,
         data_reps=opts.data_reps, seed=opts.seed,
@@ -446,29 +421,22 @@ def cmd_relerr(args: argparse.Namespace) -> int:
             rows.append([traj.gamma, s, secs, err])
     out_dir = Path(opts.output)
     _write_csv(out_dir / "relerr.csv", ["gamma", "subsets", "cum_seconds", "err"], rows)
-    document = {
-        "payload": _json_safe(
-            {
-                "oracle_ci": list(trajectories[0].oracle_ci) if trajectories else None,
-                "n": opts.n,
-                "gammas": opts.gammas,
-                "terminal_err": {str(t.gamma): t.err[-1] for t in trajectories},
-            }
-        ),
-        "manifest": _manifest("relerr", _settings(opts), opts.seed, started, 1),
-        "timing": {
-            "per_gamma_total_seconds": {str(t.gamma): t.cum_seconds[-1] for t in trajectories},
-        },
+    payload = {
+        "oracle_ci": list(trajectories[0].oracle_ci) if trajectories else None,
+        "n": opts.n,
+        "gammas": opts.gammas,
+        "terminal_err": {str(t.gamma): t.err[-1] for t in trajectories},
     }
-    _write_json(out_dir / "relerr_summary.json", document)
+    _write_result(out_dir / "relerr_summary.json", "relerr", started, payload,
+                  _settings(opts), opts.seed, 1,
+                  {"per_gamma_total_seconds": {str(t.gamma): t.cum_seconds[-1]
+                                               for t in trajectories}})
     for t in trajectories:
         print(f"gamma={t.gamma}: terminal err={t.err[-1]:.4f}")
     return EXIT_OK
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    started = _utcnow()
-    opts = _options(args)
+def cmd_benchmark(opts: argparse.Namespace, started: str) -> int:
     if opts.subsets is None:
         opts.subsets = list(GRID_SUBSETS if opts.grid else BENCH_SUBSETS)
     if opts.p is None:
@@ -488,12 +456,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         [cell.n, cell.p, cell.method, cell.s, cell.median_seconds] for cell in cells
     ]
     _write_csv(out_dir / "medians.csv", ["n", "p", "method", "s", "median_seconds"], med_rows)
-    document = {
-        "payload": {"cells": len(cells)},
-        "manifest": _manifest("benchmark", _settings(opts), opts.seed, started, 1),
-        "timing": {},
-    }
-    _write_json(out_dir / "benchmark_summary.json", document)
+    _write_result(out_dir / "benchmark_summary.json", "benchmark", started,
+                  {"cells": len(cells)}, _settings(opts), opts.seed, 1, {})
     for cell in cells:
         print(f"n={cell.n} p={cell.p} {cell.method} s={cell.s}: "
               f"median {cell.median_seconds:.4f}s")
@@ -527,10 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = _utcnow()
     try:
-        return args.func(args)
+        return args.func(_options(args), started)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

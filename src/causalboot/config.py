@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -79,9 +79,3 @@ class BlbConfig:
         except (TypeError, ValueError):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
         return self
-
-    def resolved(self) -> dict:
-        """Fully materialized configuration for manifests."""
-        out = asdict(self)
-        out["truncation"] = list(self.truncation)
-        return out

@@ -55,6 +55,7 @@ from .propensity import (
     load_external_scores,
     marginal_propensity,
     normalized_weights,
+    require_both_arms,
     truncate_scores,
 )
 
@@ -461,8 +462,7 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     Closing the generator early cancels subsets not yet started.
     """
     config.validate()
-    if table.n0 == 0 or table.n1 == 0:
-        raise EstimationError("table must contain both treatment arms")
+    require_both_arms(table.w)
     if config.subset_size is not None:
         b = config.subset_size
         if b > table.n:

@@ -86,6 +86,18 @@ def hajek_ipw(y0: np.ndarray, y1: np.ndarray, weights: ArmWeights) -> float:
     return float(weights.w1 @ y1 - weights.w0 @ y0)
 
 
+def _mean_difference_and_sd(x0: np.ndarray, x1: np.ndarray, weights: ArmWeights
+                            ) -> tuple[float, float]:
+    """One covariate's weighted mean difference between the arms and its
+    pooled SD.  The means go first: the order of the temporaries sets the
+    heap layout, and with it the peak RSS at large b."""
+    mean1 = float(weights.w1 @ x1)
+    mean0 = float(weights.w0 @ x0)
+    var1 = float(x1.var(ddof=1)) if x1.shape[0] > 1 else 0.0
+    var0 = float(x0.var(ddof=1)) if x0.shape[0] > 1 else 0.0
+    return mean1 - mean0, math.sqrt((var1 + var0) / 2.0)
+
+
 def smd_balance(
     x0: np.ndarray,
     x1: np.ndarray,
@@ -97,7 +109,11 @@ def smd_balance(
     arms' covariate rows.
 
     The numerator uses the arm weights; the denominator is the square
-    root of the average of the two arms' unweighted sample variances.
+    root of the average of the two arms' unweighted sample variances.  A
+    column whose pooled SD under- or overflows to 0 or inf is computed
+    again scaled by the power of two that brings its largest magnitude
+    into [0.5, 1).  That scaling is exact for normal numbers, and a
+    standardized difference does not depend on scale.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
@@ -108,16 +124,18 @@ def smd_balance(
     skipped: list[str] = []
     finite: list[float] = []
     for j, name in enumerate(names):
-        mean1 = float(weights.w1 @ x1[:, j])
-        mean0 = float(weights.w0 @ x0[:, j])
-        var1 = float(x1[:, j].var(ddof=1)) if x1.shape[0] > 1 else 0.0
-        var0 = float(x0[:, j].var(ddof=1)) if x0.shape[0] > 1 else 0.0
-        pooled = math.sqrt((var1 + var0) / 2.0)
+        with np.errstate(over="ignore"):  # the variance of huge covariates; rescaled below
+            diff, pooled = _mean_difference_and_sd(x0[:, j], x1[:, j], weights)
+        if not 0.0 < pooled < math.inf:
+            e = int(np.frexp(max(np.abs(x0[:, j]).max(), np.abs(x1[:, j]).max()))[1])
+            diff, pooled = _mean_difference_and_sd(
+                np.ldexp(x0, -e)[:, j], np.ldexp(x1, -e)[:, j], weights
+            )
         if pooled == 0.0:
             smd[name] = float("nan")
             skipped.append(name)
             continue
-        value = (mean1 - mean0) / pooled
+        value = diff / pooled
         smd[name] = value
         finite.append(abs(value))
 

@@ -26,6 +26,7 @@ from .inference import hajek_ipw, percentile_ci
 from .propensity import expit, fit_logistic_irls, normalized_weights, truncate_scores
 
 TRUE_ATE = 2.0
+ZIP_COLUMNS = ("replication", "tau_hat", "se", "lower", "upper", "covered", "centile_rank")
 
 
 def generate_dgm(
@@ -99,9 +100,10 @@ class ReplicationSummary:
     timing_quartiles: tuple[float, float, float]
     replications: int
 
-    def zip_rows(self) -> list[dict]:
-        """One row per replication with the centile rank of the
-        standardized error |tau_hat - TRUE_ATE| / se, for coverage plots."""
+    def zip_rows(self) -> list[list]:
+        """One row per replication, in the order of ``ZIP_COLUMNS``, with
+        the centile rank of the standardized error |tau_hat - TRUE_ATE| /
+        se, for coverage plots."""
         stats = []
         for i, rec in enumerate(self.records):
             z = abs(rec.tau_hat - TRUE_ATE) / rec.se if rec.se > 0 else float("inf")
@@ -110,15 +112,7 @@ class ReplicationSummary:
         for rank, (_, i) in enumerate(sorted(stats), start=1):
             ranks[i] = (rank - 0.5) / len(stats)
         return [
-            {
-                "replication": i,
-                "tau_hat": rec.tau_hat,
-                "se": rec.se,
-                "lower": rec.lower,
-                "upper": rec.upper,
-                "covered": int(rec.covered),
-                "centile_rank": ranks[i],
-            }
+            [i, rec.tau_hat, rec.se, rec.lower, rec.upper, int(rec.covered), ranks[i]]
             for i, rec in enumerate(self.records)
         ]
 

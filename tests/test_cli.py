@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -277,6 +278,26 @@ class TestBenchmark:
         }
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--n", "400", "--replications", "10", "--subsets", "2",
+      "--replicates", "20"], "summary.json"),
+    (["relerr", "--n", "600", "--gammas", "0.7", "--replicates", "20",
+      "--oracle-reps", "100", "--data-reps", "1"], "relerr_summary.json"),
+    (["benchmark", "--ns", "600", "--methods", "logistic", "--subsets", "2",
+      "--reps", "1"], "benchmark_summary.json"),
+    (None, "result.json"),
+], ids=["simulate", "relerr", "benchmark", "analyze"])
+def test_every_command_writes_one_document_shape(argv, name, dgm_csv, tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    argv = analyze_args(dgm_csv, tmp_path) if argv is None else argv + ["--output", str(tmp_path)]
+    assert main(argv) == 0
+    document = json.loads((tmp_path / name).read_text())
+    assert set(document) == {"payload", "manifest", "timing"}
+    schema = json.loads((DOCS / "result_schema.json").read_text())
+    jsonschema.validate(document["manifest"], schema["properties"]["manifest"])
+    assert document["manifest"]["command"] == argv[0]
+
+
 def run_with_config(argv, tmp_path, lines):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
@@ -373,7 +394,8 @@ class TestOptionTable:
                      "--covariates", "x1,x2"])
         assert code == 0
         document = json.loads((tmp_path / "result.json").read_text())
-        assert document["manifest"]["config"] == BlbConfig(threads=os.cpu_count() or 1).resolved()
+        defaults = dataclasses.asdict(BlbConfig(threads=os.cpu_count() or 1))
+        assert document["manifest"]["config"] == json.loads(json.dumps(defaults))
 
     @pytest.mark.parametrize("command, names", [
         ("relerr", ("replicates", "seed")),

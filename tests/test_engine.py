@@ -641,7 +641,7 @@ class TestRunBlb:
             y=np.arange(4.0), w=np.zeros(4, dtype=int), x=np.zeros((4, 1))
         )
         cfg = cb.BlbConfig(gamma=1.0, subsets=1, replicates=10, seed=0)
-        with pytest.raises(EstimationError, match="both treatment arms"):
+        with pytest.raises(DegenerateSubsetError, match="^both treatment arms must be nonempty$"):
             run_blb(table, cfg)
 
     def test_shift_invariance_end_to_end(self, dgm_table):

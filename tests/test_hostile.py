@@ -184,6 +184,24 @@ def test_covariates_at_extreme_scales_are_refused(method, scale, reason):
     assert str(exc.value).count(reason) == config.max_redraws + 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, exact", [
+    # the SDs overflow to inf; a power of two rescales without rounding
+    (2.0**664, True), (1e200, False), (1e160, False),
+    # the SDs underflow to 0, which read as constant covariates
+    (2.0**-1000, True),
+], ids=["2**664", "1e200", "1e160", "2**-1000"])
+def test_balance_at_extreme_scales_is_the_unscaled_balance(scale, exact):
+    config = cb.BlbConfig(gamma=0.7, subsets=3, replicates=20, seed=1, estimator="marginal")
+    want = [e.balance for e in cb.run_blb(scaled_table(1.0), config).subsets]
+    got = [e.balance for e in cb.run_blb(scaled_table(scale), config).subsets]
+    if exact:
+        assert got == want
+    for g, w in zip(got, want, strict=True):
+        assert g.not_applicable == () and g.passed == w.passed
+        assert g.smd == pytest.approx(w.smd, rel=1e-14, abs=0.0)
+
+
 def hostile_csvs():
     """(name, rows) of CSV tables with y, w, x1, x2 columns."""
     g = np.random.default_rng(5)

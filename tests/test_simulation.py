@@ -9,6 +9,7 @@ from causalboot import rng as cbrng
 from causalboot import simulation
 from causalboot.errors import ConfigError, EstimationError
 from causalboot.simulation import (
+    ZIP_COLUMNS,
     RelErrTrajectory,
     benchmark_timing,
     generate_dgm,
@@ -121,7 +122,7 @@ class TestRunReplications:
         assert summary.coverage_mcse == pytest.approx(np.sqrt(c * (1 - c) / R))
 
     def test_zip_rows_are_complete(self, summary):
-        rows = summary.zip_rows()
+        rows = [dict(zip(ZIP_COLUMNS, row, strict=True)) for row in summary.zip_rows()]
         assert len(rows) == 20
         ranks = sorted(r["centile_rank"] for r in rows)
         np.testing.assert_allclose(ranks, (np.arange(20) + 0.5) / 20)
