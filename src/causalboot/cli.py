@@ -334,15 +334,13 @@ def _split_method(method: str) -> tuple[str, str | None]:
 
 def _build_config(opts: argparse.Namespace) -> BlbConfig:
     estimator, scores_path = _split_method(opts.method)
-    if opts.gamma is not None and opts.subset_size is not None:
-        raise ConfigError("--gamma and --subset-size are mutually exclusive")
     gamma = _RUN.gamma if opts.gamma is None and opts.subset_size is None else opts.gamma
     same_name = ("subset_size", "subsets", "replicates", "seed", "alpha", "weight_cap",
                  "balance_threshold", "redraw_on_imbalance", "max_redraws", "threads")
     return BlbConfig(
         gamma=gamma, truncation=opts.truncate, ci_kind=opts.ci, estimator=estimator,
         external_scores=scores_path, **{name: getattr(opts, name) for name in same_name},
-    ).validate()
+    )
 
 
 def _settings(opts: argparse.Namespace) -> dict:

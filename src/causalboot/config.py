@@ -20,12 +20,15 @@ IRLS_TOL, IRLS_MAX_ITER = 1e-8, 100
 CBPS_TOL, CBPS_MAX_ITER = 1e-6, 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlbConfig:
     """Parameters of one subset-bootstrap run.
 
     Exactly one of ``gamma`` (b = n**gamma) or ``subset_size`` (b fixed,
     the b = n/s benchmarking convention) determines the subset size.
+    A config is checked when made (``dataclasses.replace`` included), so
+    an invalid one raises ``ConfigError``, and frozen, so a valid one
+    cannot change.  ``draw_subset`` checks that b fits the table.
     """
 
     gamma: float | None = 0.7
@@ -44,7 +47,7 @@ class BlbConfig:
     redraw_on_imbalance: bool = False
     threads: int = 1
 
-    def validate(self) -> "BlbConfig":
+    def __post_init__(self) -> None:
         if (self.gamma is None) == (self.subset_size is None):
             raise ConfigError("exactly one of gamma and subset_size must be set")
         if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
@@ -66,6 +69,8 @@ class BlbConfig:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.estimator == "external" and not self.external_scores:
             raise ConfigError("estimator 'external' requires an external_scores path")
+        if self.estimator != "external" and self.external_scores is not None:
+            raise ConfigError(f"estimator {self.estimator!r} ignores external_scores")
         if self.max_redraws < 0:
             raise ConfigError("max_redraws must be nonnegative")
         if self.weight_cap <= 0.0:
@@ -78,4 +83,3 @@ class BlbConfig:
             int(self.seed)
         except (TypeError, ValueError):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
-        return self

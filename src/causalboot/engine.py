@@ -386,6 +386,17 @@ def fit_scores(
     return replace(external, scores=external.scores[indices])
 
 
+def _check_usable(subsetfit: SubsetFit, config: BlbConfig) -> None:
+    """Raise a subset's redraw reason if a weight exceeds the cap or, with
+    ``redraw_on_imbalance``, its balance fails the threshold."""
+    weights, balance = subsetfit.weights, subsetfit.balance
+    max_weight = max(float(weights.w0.max()), float(weights.w1.max()))
+    if max_weight > config.weight_cap:
+        raise EstimationError(f"weight {max_weight:.3g} above cap")
+    if config.redraw_on_imbalance and not balance.passed:
+        raise EstimationError(f"max |SMD| {balance.max_abs_smd:.3g} above threshold")
+
+
 def _run_one_subset(
     table: ObservationTable,
     config: BlbConfig,
@@ -395,11 +406,11 @@ def _run_one_subset(
 ) -> SubsetEstimate:
     """Draw subset ``k``, redrawing on degeneracy, overlap, or fit failure.
 
-    A single-arm subset is one more ``EstimationError``: the fit or
-    ``order_subset`` raises it, and it is the attempt's redraw reason.
+    Every redraw reason, a single-arm subset included, is an
+    ``EstimationError`` raised in the attempt's ``try`` by the fit,
+    ``order_subset`` or ``_check_usable``; its one ``except`` records it.
     """
     n0, n1 = table.n0, table.n1
-    lo, hi = config.truncation
     reasons: list[str] = []
     fit_seconds = 0.0
     for attempt in range(config.max_redraws + 1):
@@ -408,27 +419,16 @@ def _run_one_subset(
         t0 = time.perf_counter()
         try:
             fit = fit_scores(table, indices, config, external)
-            fit = truncate_scores(fit, lo, hi)
+            fit = truncate_scores(fit, *config.truncation)
             subsetfit = order_subset(
                 table, indices, fit, subset_id=k, balance_threshold=config.balance_threshold
             )
+            _check_usable(subsetfit, config)
         except EstimationError as exc:
             reasons.append(f"attempt {attempt}: {exc}")
             continue
         finally:
             fit_seconds += time.perf_counter() - t0
-        max_weight = max(
-            float(subsetfit.weights.w0.max()), float(subsetfit.weights.w1.max())
-        )
-        if max_weight > config.weight_cap:
-            reasons.append(f"attempt {attempt}: weight {max_weight:.3g} above cap")
-            continue
-        balance = subsetfit.balance
-        if config.redraw_on_imbalance and not balance.passed:
-            reasons.append(
-                f"attempt {attempt}: max |SMD| {balance.max_abs_smd:.3g} above threshold"
-            )
-            continue
         del indices, fit  # resampling reads only subsetfit
         rep_stream = rng.substream(config.seed, rng.DOMAIN_REPLICATE, k, attempt)
         t0 = time.perf_counter()
@@ -453,22 +453,16 @@ def _run_one_subset(
 def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetEstimate]:
     """Yield the estimate of each subset k = 0, 1, ..., s-1 in order.
 
-    This is the one subset pipeline.  It validates ``config`` and
-    resolves the subset size and any external scores once; each subset
-    is then drawn, fitted, truncated, ordered, checked against the weight
-    cap and (optionally) the balance threshold, redrawn on failure, and
-    resampled.  With ``config.threads > 1`` the subsets run on a thread
-    pool whose ordered map keeps the output independent of scheduling.
-    Closing the generator early cancels subsets not yet started.
+    This is the one subset pipeline.  It resolves the subset size and
+    any external scores once; each subset is then drawn, fitted,
+    truncated, ordered, checked against the weight cap and (optionally)
+    the balance threshold, redrawn on failure, and resampled.  With
+    ``config.threads > 1`` the subsets run on a thread pool whose ordered
+    map keeps the output independent of scheduling.  Closing the
+    generator early cancels subsets not yet started.
     """
-    config.validate()
     require_both_arms(table.w)
-    if config.subset_size is not None:
-        b = config.subset_size
-        if b > table.n:
-            raise EstimationError(f"subset_size {b} exceeds table size {table.n}")
-    else:
-        b = subset_size(table.n, config.gamma)
+    b = config.subset_size or subset_size(table.n, config.gamma)
 
     external: PropensityFit | None = None
     if config.estimator == "external":

@@ -73,7 +73,7 @@ def generate_wide_dgm(n: int, p: int, stream: np.random.Generator) -> Observatio
     return generate_dgm(n, stream, p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplicationRecord:
     tau_hat: float
     se: float
@@ -85,7 +85,7 @@ class ReplicationRecord:
     seconds: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplicationSummary:
     """Aggregates over independent replications of the process."""
 
@@ -131,7 +131,6 @@ def run_replications(
     """
     if R < 10:
         raise ConfigError(f"replications must be at least 10, got {R}")
-    config.validate()
     seed = config.seed
 
     def one(i: int) -> ReplicationRecord:
@@ -190,7 +189,7 @@ def relative_error(oracle_ci: tuple[float, float], blb_ci: tuple[float, float]) 
     return 0.5 * (abs(c_lo - xi_lo) / abs(xi_lo) + abs(c_up - xi_up) / abs(xi_up))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelErrTrajectory:
     """Relative error and cumulative time after each processed subset."""
 
@@ -241,13 +240,13 @@ def run_relerr_harness(
     truncation are ``BlbConfig``'s defaults, as in ``oracle_interval``;
     the weight cap is off (1.0) because the oracle interval has none.
     Trajectories are averaged over ``data_reps`` independent datasets
-    shared across gammas.  Every gamma's configuration is validated
-    before the oracle is computed.
+    shared across gammas.  Every gamma's configuration is built, and so
+    checked, before the oracle is computed.
     """
     if data_reps < 1:
         raise ConfigError("data_reps must be at least 1")
     configs = [
-        BlbConfig(gamma=gamma, subsets=s_max, replicates=r, weight_cap=1.0).validate()
+        BlbConfig(gamma=gamma, subsets=s_max, replicates=r, weight_cap=1.0)
         for gamma in gammas
     ]
     oracle = oracle_interval(n, oracle_reps, seed)
@@ -284,7 +283,7 @@ def run_relerr_harness(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingCell:
     n: int
     p: int
@@ -340,7 +339,7 @@ def benchmark_timing(
                             subsets=s,
                             seed=rng.derive_seed(seed, n_index, p_index, s, rep),
                             estimator=method,
-                        ).validate()
+                        )
                         t0 = time.perf_counter()
                         if grid:
                             for _ in range(s):

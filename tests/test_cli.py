@@ -36,6 +36,11 @@ def dgm_csv(tmp_path_factory):
     return export_dgm_csv(tmp_path_factory.mktemp("data") / "dgm.csv")
 
 
+@pytest.fixture(scope="module")
+def csv_20k(tmp_path_factory):
+    return export_dgm_csv(tmp_path_factory.mktemp("data") / "dgm_20k.csv", n=20_000)
+
+
 def analyze_args(csv_path, out_dir, **overrides):
     args = {
         "--input": str(csv_path),
@@ -125,9 +130,22 @@ class TestAnalyze:
             e["balance"]["max_abs_smd"] for e in payload["subsets"]
         )
 
-    def test_gamma_and_subset_size_conflict(self, dgm_csv, tmp_path):
-        code = main(analyze_args(dgm_csv, tmp_path, **{"--subset-size": "100"}))
+    def test_gamma_and_subset_size_conflict(self, dgm_csv, tmp_path, capsys):
+        code = main(analyze_args(dgm_csv, tmp_path, **{"--subset-size": "300"}))
         assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: exactly one of gamma and subset_size must be set\n"
+        )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_subset_size_above_rows_is_a_config_error(self, csv_20k, tmp_path, capsys, threads):
+        code = main(analyze_args(csv_20k, tmp_path, **{
+            "--gamma": None, "--subset-size": "30000", "--threads": threads,
+        }))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: subset size 30000 outside [2, 20000]\n"
+        )
 
     def test_external_scores_wrong_length(self, dgm_csv, tmp_path):
         scores = tmp_path / "scores.txt"

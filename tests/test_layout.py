@@ -1,6 +1,8 @@
 """The package's modules use one another only through public names."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import causalboot
@@ -57,3 +59,20 @@ def test_the_check_sees_both_forms(tmp_path):
         "mod.py:2 imports engine._fit_scores",
         "mod.py:3 reads engine._poisson_rows",
     ]
+
+
+# Mutable on purpose: perfbench's checks assign fields of a finished
+# estimate (tau_hat, mean, b0, draws) to show that a corrupted result
+# fails them.
+MUTABLE_RECORDS = {"engine.SubsetEstimate", "engine.BlbEstimate"}
+
+
+def test_every_record_is_frozen():
+    mutable = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"causalboot.{path.stem}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls) and not cls.__dataclass_params__.frozen):
+                mutable.append(f"{path.stem}.{cls.__name__}")
+    assert sorted(mutable) == sorted(MUTABLE_RECORDS)
