@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from .errors import ConfigError
 
@@ -18,6 +19,11 @@ DEFAULT_BALANCE_THRESHOLD = 0.1
 # iteration cap).
 IRLS_TOL, IRLS_MAX_ITER = 1e-8, 100
 CBPS_TOL, CBPS_MAX_ITER = 1e-6, 200
+
+# The fields that hold counts, and those besides the truncation bounds
+# that hold real settings.
+_COUNTS = ("subset_size", "subsets", "replicates", "max_redraws", "threads", "seed")
+_REALS = ("gamma", "alpha", "weight_cap", "balance_threshold")
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,14 @@ class BlbConfig:
     def __post_init__(self) -> None:
         if (self.gamma is None) == (self.subset_size is None):
             raise ConfigError("exactly one of gamma and subset_size must be set")
+        lo, hi = self.truncation
+        settings = {name: getattr(self, name) for name in _COUNTS + _REALS}
+        settings.pop("gamma" if self.gamma is None else "subset_size")  # the one that is None
+        settings.update({"truncation lo": lo, "truncation hi": hi})
+        for name, value in settings.items():
+            kind, what = (Integral, "an integer") if name in _COUNTS else (Real, "a real number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.subset_size is not None and self.subset_size < 2:
@@ -58,7 +72,6 @@ class BlbConfig:
             raise ConfigError(f"subsets must be at least 1, got {self.subsets}")
         if self.replicates < 2:
             raise ConfigError(f"replicates must be at least 2, got {self.replicates}")
-        lo, hi = self.truncation
         if not (0.0 <= lo < hi <= 1.0):
             raise ConfigError(f"truncation must satisfy 0 <= lo < hi <= 1, got {self.truncation}")
         if not 0.0 < self.alpha < 1.0:
@@ -79,7 +92,3 @@ class BlbConfig:
             raise ConfigError("balance_threshold must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        try:
-            int(self.seed)
-        except (TypeError, ValueError):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None

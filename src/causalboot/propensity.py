@@ -4,9 +4,10 @@ Three in-package estimators produce per-row scores pi_hat(X): logistic
 regression fit by iteratively reweighted least squares, a just-identified
 covariate-balancing fit solved by damped Newton on the balance conditions,
 from the IRLS solution, and the marginal treatment rate; both regression
-fits run one damped-Newton loop.  A fourth path loads scores computed by
-an external tool.  Scores are then truncated and turned into the
-normalized inverse-propensity weights that drive the resampling engine:
+fits run one damped-Newton loop, which evaluates each iterate once, from
+one X beta.  A fourth path loads scores computed by an external tool.
+Scores are then truncated and turned into the normalized
+inverse-propensity weights that drive the resampling engine:
 
     w1_i = (1/pi_i) / sum_treated(1/pi_j)
     w0_i = (1/(1-pi_i)) / sum_control(1/(1-pi_j))
@@ -123,57 +124,59 @@ def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.hstack([np.ones((b, 1)), x]), w.astype(np.float64)
 
 
-def _loglik(eta: np.ndarray, w: np.ndarray) -> float:
-    # log L = sum(w*eta - log(1 + exp(eta))), stable via logaddexp
-    return float(np.sum(w * eta - np.logaddexp(0.0, eta)))
-
-
-def _newton(method, X, beta, newton_step, merit, accept, max_iter) -> PropensityFit:
+def _newton(method, evaluate, beta, accept, tol, max_iter, at_root=None) -> PropensityFit:
     """Damped Newton iteration shared by both regression fits.
 
-    ``newton_step(beta)`` returns ``(step, norm)``: the Newton step at
-    ``beta`` and the max-norm of the residual there, with ``step`` None
-    once that norm is below the fit's tolerance.  Each step is halved
-    until ``accept(merit(candidate), merit(beta), scale)`` holds; when 40
-    halvings find no such candidate the current point is returned as not
-    converged.  A linear predictor max|X beta| beyond ``_SEPARATION_ETA``,
-    a singular Jacobian or a fitted score of exactly 0 or 1 raises
+    ``evaluate(beta)`` computes all the loop uses at ``beta`` from one
+    X beta: ``(merit, eta_max, residual, jacobian, scores)``, with
+    ``eta_max`` = max|X beta|, ``scores`` = expit(X beta) and
+    ``jacobian()`` building the residual's Jacobian J from the same
+    scores.  Each iterate is evaluated once.  The fit converges at the
+    first iterate whose residual max-norm is below ``tol``, where
+    ``at_root(scores)``, if given, may still refuse it.  Otherwise the
+    step solves J step = -residual and is halved until
+    ``accept(candidate merit, merit, scale)`` holds, and the accepted
+    candidate's evaluation is the next iterate's; when 40 halvings find
+    no such candidate the current point is returned as not converged.
+    A candidate with ``eta_max`` beyond ``_SEPARATION_ETA``, a singular
+    Jacobian or a fitted score of exactly 0 or 1 raises
     ``SeparationError``; a step that is not finite (X'X overflows on
     covariates near 1e200) raises ``EstimationError``.  The fit's
     ``objective`` is the residual norm at the returned coefficients.
     """
-    value = merit(beta)
     converged, iterations = False, max_iter
-    for it in range(max_iter + 1):
-        try:
-            with np.errstate(all="ignore"):  # a non-finite step raises below
-                step, norm = newton_step(beta)
-        except np.linalg.LinAlgError as exc:
-            raise SeparationError(f"singular Jacobian at iteration {it + 1}") from exc
-        if step is None:
-            converged, iterations = True, it
-            break
-        if not np.isfinite(step).all():
-            raise EstimationError(f"Newton step is not finite at iteration {it + 1}")
-        if it == max_iter:
-            break
-        scale = 1.0
-        for _ in range(40):
-            cand = beta + scale * step
-            cand_value = merit(cand)
-            if accept(cand_value, value, scale):
+    with np.errstate(all="ignore"):  # a non-finite step raises below
+        value, eta_max, residual, jacobian, scores = evaluate(beta)
+        for it in range(max_iter + 1):
+            norm = float(np.max(np.abs(residual)))
+            if norm < tol:
+                if at_root is not None:
+                    at_root(scores)
+                converged, iterations = True, it
                 break
-            scale *= 0.5
-        else:
-            iterations = it + 1
-            break
-        beta, value = cand, cand_value
-        if float(np.max(np.abs(X @ beta))) > _SEPARATION_ETA:
-            raise SeparationError(
-                f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
-            )
-    eta = X @ beta
-    scores = expit(eta, out=eta)
+            try:
+                step = np.linalg.solve(jacobian(), -residual)
+            except np.linalg.LinAlgError as exc:
+                raise SeparationError(f"singular Jacobian at iteration {it + 1}") from exc
+            if not np.isfinite(step).all():
+                raise EstimationError(f"Newton step is not finite at iteration {it + 1}")
+            if it == max_iter:
+                break
+            scale = 1.0
+            for _ in range(40):
+                cand = beta + scale * step
+                cand_eval = evaluate(cand)
+                if accept(cand_eval[0], value, scale):
+                    break
+                scale *= 0.5
+            else:
+                iterations = it + 1
+                break
+            beta, (value, eta_max, residual, jacobian, scores) = cand, cand_eval
+            if eta_max > _SEPARATION_ETA:
+                raise SeparationError(
+                    f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
+                )
     if not ((scores > 0.0) & (scores < 1.0)).all():
         raise SeparationError("fitted probabilities reached 0 or 1; data are separated")
     return PropensityFit(
@@ -193,6 +196,18 @@ def fit_logistic_irls(x: np.ndarray, w: np.ndarray) -> PropensityFit:
     return _irls(*_check_fit_inputs(x, w))
 
 
+def _likelihood_equations(X: np.ndarray, w: np.ndarray, beta: np.ndarray):
+    """IRLS's evaluation at ``beta`` for ``_newton``: the log-likelihood,
+    max|X beta|, the score X'(w - pi), its Jacobian -X'WX with
+    W = pi(1 - pi), and pi."""
+    eta = X @ beta
+    # log L = sum(w*eta - log(1 + exp(eta))), stable via logaddexp
+    loglik = float(np.sum(w * eta - np.logaddexp(0.0, eta)))
+    eta_max = float(np.max(np.abs(eta)))
+    pi = expit(eta, out=eta)
+    return loglik, eta_max, X.T @ (w - pi), lambda: -(X.T @ (X * (pi * (1.0 - pi))[:, None])), pi
+
+
 def _irls(X: np.ndarray, w: np.ndarray) -> PropensityFit:
     """The IRLS fit on a checked design ``X`` and float 0/1 vector ``w``."""
     beta = np.zeros(X.shape[1])
@@ -200,50 +215,39 @@ def _irls(X: np.ndarray, w: np.ndarray) -> PropensityFit:
     rate = w.mean()
     beta[0] = np.log(rate / (1.0 - rate))
 
-    def newton_step(beta):
-        eta = X @ beta
-        pi = expit(eta, out=eta)
-        score = X.T @ (w - pi)
-        score_norm = float(np.max(np.abs(score)))
-        if score_norm < IRLS_TOL:
-            if float(np.max(np.abs(w - pi))) < _SATURATION_TOL:
-                raise SeparationError(
-                    "fitted probabilities saturated at the outcomes; data are separated"
-                )
-            return None, score_norm
-        weight = pi * (1.0 - pi)
-        return np.linalg.solve(X.T @ (X * weight[:, None]), score), score_norm
+    def at_root(pi):
+        if float(np.max(np.abs(w - pi))) < _SATURATION_TOL:
+            raise SeparationError(
+                "fitted probabilities saturated at the outcomes; data are separated"
+            )
 
     return _newton(
-        "logistic", X, beta, newton_step, lambda beta: _loglik(X @ beta, w),
+        "logistic", lambda beta: _likelihood_equations(X, w, beta), beta,
         # a step is taken unless the log-likelihood falls
         lambda new, old, scale: new >= old - 1e-12 * abs(old),
-        IRLS_MAX_ITER,
+        IRLS_TOL, IRLS_MAX_ITER, at_root,
     )
 
 
-def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray, jacobian: bool = False):
-    """Just-identified ATE balance moments g(beta), intercept included.
-
-    With ``jacobian`` also returns a function that builds their Jacobian
-    from the same pi, J(beta) = -X'DX/b with
-    D = w(1 - pi)/pi + (1 - w)pi/(1 - pi), so that an iterate which
-    stops the fit never pays for X'DX.
+def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray):
+    """The balancing fit's evaluation at ``beta`` for ``_newton``: the
+    merit 0.5*||g||^2, max|X beta|, the just-identified ATE balance
+    moments g(beta), intercept included, their Jacobian
+    J(beta) = -X'DX/b with D = w(1 - pi)/pi + (1 - w)pi/(1 - pi), and pi.
+    Inside g and J, pi is clipped to [_PROB_FLOOR, 1 - _PROB_FLOOR].
     """
     b = X.shape[0]
-    with np.errstate(divide="ignore", over="ignore"):
-        eta = X @ beta
-        pi = np.clip(expit(eta, out=eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR, out=eta)
-        coef = w / pi - (1.0 - w) / (1.0 - pi)
-    g = (X.T @ coef) / b
-    if not jacobian:
-        return g
+    eta = X @ beta
+    eta_max = float(np.max(np.abs(eta)))
+    scores = expit(eta, out=eta)
+    pi = np.clip(scores, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    g = (X.T @ (w / pi - (1.0 - w) / (1.0 - pi))) / b
 
-    def build_jacobian():
+    def jacobian():
         d = w * (1.0 - pi) / pi + (1.0 - w) * pi / (1.0 - pi)
         return -(X.T @ (X * d[:, None])) / b
 
-    return g, build_jacobian
+    return 0.5 * float(g @ g), eta_max, g, jacobian, scores
 
 
 def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit:
@@ -261,25 +265,12 @@ def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit:
     ||g||_inf < ``config.CBPS_TOL`` within ``config.CBPS_MAX_ITER`` steps.
     """
     X, w = _check_fit_inputs(x, w)
-    init = _irls(X, w)
-
-    def newton_step(beta):
-        g, jacobian = _balance_conditions(X, w, beta, jacobian=True)
-        g_norm = float(np.max(np.abs(g)))
-        if g_norm < CBPS_TOL:
-            return None, g_norm
-        return np.linalg.solve(jacobian(), -g), g_norm
-
-    def merit(beta):
-        g = _balance_conditions(X, w, beta)
-        return 0.5 * float(g @ g)
-
     return _newton(
-        "cbps", X, init.coefficients, newton_step, merit,
+        "cbps", lambda beta: _balance_conditions(X, w, beta), _irls(X, w).coefficients,
         # Armijo with c = 1e-4: along the Newton step the merit f has
         # slope -||g||^2 = -2f
         lambda new, old, scale: new <= old * (1.0 - 2e-4 * scale),
-        CBPS_MAX_ITER,
+        CBPS_TOL, CBPS_MAX_ITER,
     )
 
 

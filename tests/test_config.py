@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from causalboot.config import BlbConfig
@@ -26,6 +27,15 @@ REJECTIONS = {
     "balance_threshold": ({"balance_threshold": -0.1}, r"^balance_threshold must be positive$"),
     "threads": ({"threads": 0}, r"^threads must be at least 1$"),
     "seed": ({"seed": "abc"}, r"^seed must be an integer"),
+    "subsets_not_integer": ({"subsets": 2.5}, r"^subsets must be an integer, got 2\.5$"),
+    "replicates_not_integer": ({"replicates": 20.5}, r"^replicates must be an integer, got 20\.5$"),
+    "subset_size_not_integer": ({"gamma": None, "subset_size": 300.0},
+                                r"^subset_size must be an integer, got 300\.0$"),
+    "seed_not_integer": ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+    "alpha_not_real": ({"alpha": "0.05"}, r"^alpha must be a real number, got '0\.05'$"),
+    "truncation_not_real": ({"truncation": ("0.1", 0.9)},
+                            r"^truncation lo must be a real number, got '0\.1'$"),
+    "subsets_bool": ({"subsets": True}, r"^subsets must be an integer, got True$"),
 }
 
 
@@ -39,6 +49,14 @@ def test_invalid_config_raises_when_made(fields, message):
 def test_replace_checks_the_new_config(fields, message):
     with pytest.raises(ConfigError, match=message):
         dataclasses.replace(BlbConfig(), **fields)
+
+
+def test_numpy_numbers_are_accepted():
+    config = BlbConfig(
+        gamma=np.float32(0.6), subsets=np.int64(3), replicates=np.int32(20), seed=np.uint64(7),
+        alpha=np.float64(0.1), truncation=(np.float64(0.05), 0.95), max_redraws=np.int8(2),
+    )
+    assert config.subsets == 3 and config.seed == 7
 
 
 def test_every_field_is_frozen():

@@ -1,6 +1,7 @@
 """The damped-Newton loop both propensity fits run: stopping rules, typed
 failures on hostile designs, and the balancing fit's line search."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,42 @@ from oracles import design
 
 FITS = [(fit_logistic_irls, IRLS_TOL), (fit_cbps, CBPS_TOL)]
 KINDS = ("random", "near_separated", "collinear", "binary")
+
+
+@pytest.fixture
+def newton_log(monkeypatch):
+    """Each ``propensity._newton`` call's method and log, in call order.
+    A log lists (code, residual) pairs: e an evaluation, with its
+    residual; j a Jacobian built; A or r a candidate accepted or refused."""
+    calls, newton = [], propensity._newton
+
+    def traced(method, evaluate, beta, accept, *rest):
+        log = []
+        calls.append((method, log))
+
+        def traced_evaluate(beta):
+            merit, eta_max, residual, jacobian, scores = evaluate(beta)
+            log.append(("e", residual))
+            return merit, eta_max, residual, lambda: log.append(("j", None)) or jacobian(), scores
+
+        def traced_accept(*args):
+            accepted = accept(*args)
+            log.append(("A" if accepted else "r", None))
+            return accepted
+
+        return newton(method, traced_evaluate, beta, traced_accept, *rest)
+
+    monkeypatch.setattr(propensity, "_newton", traced)
+    return calls
+
+
+def last_log(calls, method):
+    """The log of the last ``_newton`` call for ``method``."""
+    return [log for name, log in calls if name == method][-1]
+
+
+def codes(log):
+    return "".join(code for code, _ in log)
 
 
 def hostile_design(seed, b, p, kind, noise, scale):
@@ -134,50 +171,71 @@ class TestStoppingRules:
             fit_cbps(dgm_table.x, dgm_table.w)
         assert check.call_count == 1
 
-    def test_cbps_builds_a_jacobian_only_for_a_step(self, monkeypatch, dgm_table):
+    def test_cbps_builds_a_jacobian_only_for_a_step(self, newton_log, dgm_table):
         # X'DX is built once per step taken, never at the converged iterate
-        builds = []
-        balance = propensity._balance_conditions
-
-        def counted(X, w, beta, jacobian=False):
-            if not jacobian:
-                return balance(X, w, beta)
-            g, build = balance(X, w, beta, jacobian=True)
-            return g, lambda: builds.append(1) or build()
-
-        monkeypatch.setattr(propensity, "_balance_conditions", counted)
         fit = fit_cbps(dgm_table.x, dgm_table.w)
         assert fit.converged and fit.iterations >= 1
-        assert len(builds) == fit.iterations
+        assert codes(last_log(newton_log, "cbps")).count("j") == fit.iterations
 
-    def test_cbps_steps_meet_the_armijo_condition(self, monkeypatch):
+    @pytest.mark.parametrize("fit_fn", [fit_logistic_irls, fit_cbps])
+    def test_each_iterate_is_evaluated_once(self, newton_log, dgm_table, fit_fn):
+        # one evaluation at the start and one per candidate tried; a
+        # Jacobian (for IRLS, minus the Fisher information) before each
+        # step's first candidate, and none at the converged iterate
+        fit = fit_fn(dgm_table.x, dgm_table.w)
+        pattern = codes(last_log(newton_log, fit.method))
+        assert fit.converged and fit.iterations >= 1
+        assert pattern.count("e") == 1 + pattern.count("A") + pattern.count("r")
+        assert re.fullmatch(r"e(j(er)*eA)*", pattern)
+        assert pattern.count("j") == pattern.count("A") == fit.iterations
+
+    def test_cbps_steps_meet_the_armijo_condition(self, newton_log):
         # one covariate cell holds treated rows only, so the balance
         # conditions have no root and the merit 0.5*||g||^2 flattens out
         # as that cell's scores approach 1; a step is taken only when it
         # cuts the merit by the Armijo amount 2e-4 * scale * merit
         x = np.array([0.0] * 10 + [1.0] * 4).reshape(-1, 1)
         w = np.array([0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1])
-        calls = []
-        balance = propensity._balance_conditions
-
-        def recorded(X, w, beta, jacobian=False):
-            out = balance(X, w, beta, jacobian)
-            g = out[0] if jacobian else out
-            calls.append((jacobian, 0.5 * float(g @ g)))
-            return out
-
-        monkeypatch.setattr(propensity, "_balance_conditions", recorded)
         with pytest.raises(SeparationError):
             fit_cbps(x, w)
-        # each Jacobian call is at an iterate; the merit calls after it are
-        # the candidates at scales 1, 1/2, ..., the last of them taken
-        # unless all 40 were refused
-        iterates = [i for i, (jac, _) in enumerate(calls) if jac]
-        steps = 0
-        for start, end in zip(iterates, iterates[1:] + [len(calls)]):
-            tried = end - start - 1
-            if 0 < tried < 40:
-                steps += 1
-                f_old, f_new = calls[start][1], calls[end - 1][1]
-                assert f_new <= f_old * (1.0 - 2e-4 * 0.5 ** (tried - 1))
+        # the merit at each iterate and at each candidate, from its g; the
+        # candidates after a Jacobian are at scales 1, 1/2, ...
+        steps, tried, f_old = 0, 0, None
+        for code, g in last_log(newton_log, "cbps"):
+            if code == "e":
+                f_new = 0.5 * float(g @ g)
+                f_old = f_new if f_old is None else f_old
+            elif code == "j":
+                tried = 0
+            else:
+                tried += 1
+                if code == "A":
+                    assert f_new <= f_old * (1.0 - 2e-4 * 0.5 ** (tried - 1))
+                    steps, f_old = steps + 1, f_new
         assert steps >= 1
+
+    def test_refused_line_search_returns_the_current_point(self, monkeypatch, dgm_table):
+        # from the second step on the solve is reversed, so each step
+        # climbs the merit 0.5*||g||^2 and all 40 halvings are refused:
+        # the fit stops where its first step left it
+        with mock.patch.object(propensity, "CBPS_MAX_ITER", 1):
+            one_step = fit_cbps(dgm_table.x, dgm_table.w)
+        solve, solves = np.linalg.solve, []
+
+        def reversed_after_first(a, b):
+            solves.append(1)
+            return solve(a, b) if len(solves) == 1 else -solve(a, b)
+
+        start = fit_logistic_irls(dgm_table.x, dgm_table.w)
+        monkeypatch.setattr(propensity, "_irls", lambda X, w: start)
+        monkeypatch.setattr(np.linalg, "solve", reversed_after_first)
+        fit = fit_cbps(dgm_table.x, dgm_table.w)
+        assert not fit.converged
+        assert fit.iterations == 2
+        np.testing.assert_array_equal(fit.coefficients, one_step.coefficients)
+        np.testing.assert_array_equal(fit.scores, one_step.scores)
+        X, w = design(dgm_table.x), dgm_table.w
+        pi = expit(X @ fit.coefficients)
+        g = X.T @ (w / pi - (1 - w) / (1 - pi)) / len(w)
+        assert fit.objective == pytest.approx(np.max(np.abs(g)), rel=1e-9)
+        assert fit.objective >= CBPS_TOL

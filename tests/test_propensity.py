@@ -152,7 +152,8 @@ class TestCbps:
     def test_balance_conditions_below_tolerance(self, dgm_table):
         fit = fit_cbps(dgm_table.x, dgm_table.w)
         assert fit.converged
-        g = _balance_conditions(design(dgm_table.x), dgm_table.w.astype(float), fit.coefficients)
+        X, w = design(dgm_table.x), dgm_table.w.astype(float)
+        g = _balance_conditions(X, w, fit.coefficients)[2]
         assert np.max(np.abs(g)) < 1e-6
 
     def test_weighted_means_agree_across_arms(self):
@@ -168,8 +169,8 @@ class TestCbps:
         cbps = fit_cbps(dgm_table.x, dgm_table.w)
         X = design(dgm_table.x)
         w = dgm_table.w.astype(float)
-        g_irls = np.max(np.abs(_balance_conditions(X, w, irls.coefficients)))
-        g_cbps = np.max(np.abs(_balance_conditions(X, w, cbps.coefficients)))
+        g_irls = np.max(np.abs(_balance_conditions(X, w, irls.coefficients)[2]))
+        g_cbps = np.max(np.abs(_balance_conditions(X, w, cbps.coefficients)[2]))
         assert g_cbps < g_irls
 
 
