@@ -333,14 +333,14 @@ def _split_method(method: str) -> tuple[str, str | None]:
 
 
 def _build_config(opts: argparse.Namespace) -> BlbConfig:
+    """Options named as a field pass through; gamma defaults if b is not given."""
     estimator, scores_path = _split_method(opts.method)
-    gamma = _RUN.gamma if opts.gamma is None and opts.subset_size is None else opts.gamma
-    same_name = ("subset_size", "subsets", "replicates", "seed", "alpha", "weight_cap",
-                 "balance_threshold", "redraw_on_imbalance", "max_redraws", "threads")
-    return BlbConfig(
-        gamma=gamma, truncation=opts.truncate, ci_kind=opts.ci, estimator=estimator,
-        external_scores=scores_path, **{name: getattr(opts, name) for name in same_name},
-    )
+    same_name = {f.name: getattr(opts, f.name) for f in dataclasses.fields(BlbConfig)
+                 if f.name in opts}
+    if opts.gamma is None and opts.subset_size is None:
+        same_name["gamma"] = _RUN.gamma
+    return BlbConfig(**same_name, truncation=opts.truncate, ci_kind=opts.ci,
+                     estimator=estimator, external_scores=scores_path)
 
 
 def _settings(opts: argparse.Namespace) -> dict:

@@ -127,13 +127,16 @@ def _parse_cell(raw: str, col: str, row: int, na_policy: str) -> float | None:
             return None
         raise DataError(f"missing value in column {col!r} at data row {row}")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         if na_policy == "drop":
             return None
         raise DataError(
             f"non-numeric value {text!r} in column {col!r} at data row {row}"
         ) from None
+    if not math.isfinite(value):  # an error under either policy, as in the table
+        raise DataError(f"non-finite value {text!r} in column {col!r} at data row {row}")
+    return value
 
 
 # Characters of whole lines handed to one vectorized parse: enough to
@@ -181,7 +184,7 @@ def _parse_record(record: list[str], used: list[str], cols: list[int],
     """The used cells of one record; None marks a row to drop."""
     try:  # a record of plain numbers: float strips them as _parse_cell does
         vals = [float(record[j]) for j in cols]
-        if not any(map(math.isnan, vals)):  # nan is an NA token
+        if all(map(math.isfinite, vals)):  # nan is an NA token, inf an error
             return vals
     except (ValueError, IndexError):
         pass

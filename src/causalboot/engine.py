@@ -43,9 +43,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .config import DEFAULT_BALANCE_THRESHOLD, BlbConfig
+from .config import BlbConfig
 from .data import ObservationTable, draw_subset, subset_size
-from .errors import EstimationError, RedrawBudgetError, SeparationError
+from .errors import EstimationError, RedrawBudgetError
 from .inference import BalanceReport, ConfidenceInterval, asymptotic_ci, hajek_ipw, percentile_ci, smd_balance
 from .propensity import (
     ArmWeights,
@@ -162,7 +162,7 @@ def order_subset(
     indices: np.ndarray,
     fit: PropensityFit,
     subset_id: int = 0,
-    balance_threshold: float = DEFAULT_BALANCE_THRESHOLD,
+    balance_threshold: float = BlbConfig.balance_threshold,
 ) -> SubsetFit:
     """Split a subset into its arms, weigh them and check their balance.
 
@@ -242,8 +242,10 @@ def _poisson_rows(stream, n_arm, w, y, r):
     mean = max(0.0, n_arm - 2.0 * math.sqrt(n_arm)) * w
     rows = max(1, _BLOCK_CELLS // b)
     part = max(1, rows // 8)
-    totals = np.empty(r)
-    short = np.empty(r, dtype=np.int64)
+    try:
+        totals, short = np.empty(r), np.empty(r, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond any array's size
+        raise EstimationError(f"{r} replicates do not fit in memory: {exc}") from None
     products = np.empty((min(part, r), b))
     for start in range(0, r, rows):
         counts = stream.poisson(mean, size=(min(rows, r - start), b))

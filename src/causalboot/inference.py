@@ -10,7 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .config import DEFAULT_BALANCE_THRESHOLD
+from .config import BlbConfig
 from .errors import EstimationError
 from .propensity import ArmWeights
 
@@ -102,7 +102,7 @@ def smd_balance(
     x0: np.ndarray,
     x1: np.ndarray,
     weights: ArmWeights,
-    threshold: float = DEFAULT_BALANCE_THRESHOLD,
+    threshold: float = BlbConfig.balance_threshold,
     names: tuple[str, ...] | None = None,
 ) -> BalanceReport:
     """Weighted standardized mean difference of every covariate, from the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_SEED_MASK = (1 << 64) - 1
+from .errors import ConfigError
 
 # Substream domains.  Each family of draws gets its own tag so keys can
 # never collide across uses.
@@ -27,9 +27,12 @@ DOMAIN_BENCH = 7         # benchmark datasets and runs
 
 
 def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    """SeedSequence for the substream addressed by ``key`` under ``seed``."""
+    """SeedSequence for the substream addressed by ``key`` under ``seed``,
+    an integer >= 0 taken whole, so that no two seeds share a stream."""
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed!r}")
     return np.random.SeedSequence(
-        entropy=int(seed) & _SEED_MASK,
+        entropy=int(seed),
         spawn_key=tuple(int(v) for v in key),
     )
 

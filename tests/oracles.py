@@ -164,7 +164,8 @@ def load_csv_longhand(path, outcome, treatment, covariates, na_policy):
     or ``na``/``nan``/``null`` in any case is missing, as is a cell its
     row lacks, and so is one ``float`` rejects under ``na_policy="drop"``;
     a missing cell drops its row (``drop``) or is an error (``reject``);
-    a treatment other than 0 or 1 is always an error.  Returns
+    a cell ``float`` reads as infinite or NaN and a treatment other than
+    0 or 1 are always errors.  Returns
     (y, w, x, dropped) as lists; raises DataError worded as ``load_csv``.
     """
     from causalboot import DataError
@@ -185,7 +186,7 @@ def load_csv_longhand(path, outcome, treatment, covariates, na_policy):
                     if text.lower() in ("", "na", "nan", "null"):
                         raise DataError(f"missing value in column {col!r} at data row {i}")
                     try:
-                        row.append(float(text))
+                        value = float(text)
                     except ValueError:
                         raise DataError(
                             f"non-numeric value {text!r} in column {col!r} at data row {i}"
@@ -194,6 +195,9 @@ def load_csv_longhand(path, outcome, treatment, covariates, na_policy):
                     if na_policy == "reject":
                         raise
                     break
+                if not math.isfinite(value):
+                    raise DataError(f"non-finite value {text!r} in column {col!r} at data row {i}")
+                row.append(value)
             if len(row) < len(used):
                 dropped += 1
                 continue

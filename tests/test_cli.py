@@ -134,7 +134,7 @@ class TestAnalyze:
         code = main(analyze_args(dgm_csv, tmp_path, **{"--subset-size": "300"}))
         assert code == 2
         assert capsys.readouterr().err == (
-            "configuration error: exactly one of gamma and subset_size must be set\n"
+            "configuration error: subset_size must be None when gamma is set, got 300\n"
         )
 
     @pytest.mark.parametrize("threads", ["1", "2"])

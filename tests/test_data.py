@@ -358,6 +358,15 @@ class TestFastPathEdgeCases:
         assert_all_parsers_agree(path, na_policy, block_chars)
         assert took_fast_path(path, na_policy) == fast
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "-Infinity"])
+    @pytest.mark.parametrize("na_policy", ["reject", "drop"])
+    def test_non_finite_cell_is_named(self, tmp_path, cell, na_policy):
+        path = tmp_path / "non_finite.csv"
+        path.write_text(f"y,w,x1,x2\n1,0,2,3\n2,1,{cell},4\n", encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=f"^non-finite value '{cell}' in column 'x1' at data row 2$"):
+            load_csv(path, *USED, na_policy=na_policy)
+
     def test_only_declined_blocks_are_row_parsed(self, tmp_path):
         path = tmp_path / "holes.csv"
         path.write_text("y,w,x1,x2\n" + "1,0,2,3\n" * 3 + "1,0,NA,3\n" + "2,1,3,4\n" * 3,

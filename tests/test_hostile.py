@@ -1,6 +1,7 @@
 """Hostile inputs: tiny arms, a covariate constant within a subset, near
-separation, duplicate rows, external scores at the truncation bounds and
-covariates at extreme scales.
+separation, duplicate rows, external scores at the truncation bounds,
+covariates at extreme scales, and hostile values of every run setting
+and every command-line option.
 
 Each case either returns a well-formed estimate (every subset of size b,
 split b0 + b1 = b) or refuses with a typed ``CausalbootError``; through
@@ -8,6 +9,12 @@ the CLI the refusal is exit code 2, 3 or 4, never a traceback.
 """
 
 import dataclasses
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +23,10 @@ from hypothesis import strategies as st
 
 import causalboot as cb
 from causalboot import rng as cbrng
-from causalboot.cli import main
+from causalboot.cli import OPTIONS, main
 from causalboot.errors import CausalbootError
+
+SRC = Path(cb.__file__).resolve().parents[1]
 
 EXAMPLES = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -263,3 +272,165 @@ def test_cli_refuses_huge_covariates_in_one_line(method, tmp_path, capsys):
     assert code == 4
     assert err.startswith("estimation error: subset 0: no usable subset")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------
+# Hostile run settings and option texts
+# ---------------------------------------------------------------------
+
+HOSTILE_VALUES = [
+    math.nan, math.inf, -math.inf, float("1e400"), True, False, np.True_, np.False_,
+    np.int8(-3), np.int16(3), np.int32(7), np.int64(5), np.uint8(0), np.uint16(2),
+    np.uint32(9), np.uint64(2**63), np.float16(0.5), np.float32(0.25), np.float64(-0.5),
+    np.longdouble(0.2), "0.5", "", "logistic", None, (), (0.1,), (0.05, 0.5, 0.95),
+    (math.nan, 0.9), (0.0, 1.0), 2**70, -(2**70), 10**400,
+]
+# The fields that count loops or threads: a huge one is checked when
+# made and never run.
+COUNTS = ("subsets", "max_redraws", "threads")
+# What a field needs beside it to be used at all, and the error besides
+# an EstimationError a run may then end in: a subset size above the
+# table's rows, and scores from a file that is not there.
+PARTNERS = {"subset_size": ({"gamma": None}, cb.ConfigError),
+            "external_scores": ({"estimator": "external"}, cb.DataError)}
+FIELDS = [f.name for f in dataclasses.fields(cb.BlbConfig)]
+
+
+@pytest.fixture(scope="module")
+def table_200():
+    return cb.generate_dgm(200, cbrng.substream(3, cbrng.DOMAIN_DATASET, 0))
+
+
+def hostile_setting(table, name, value):
+    """Make a config with field ``name`` set to ``value`` and run it: it
+    must be refused in one shape, or run, or end in an expected error."""
+    partner, run_error = PARTNERS.get(name, ({}, cb.EstimationError))
+    try:
+        config = cb.BlbConfig(**partner, **{name: value})
+    except cb.ConfigError as exc:
+        assert re.fullmatch(r"(\w+) must be .+, got .+", str(exc)).group(1) in FIELDS
+        return
+    if name in COUNTS and value > 4:
+        return
+    try:
+        cb.run_blb(table, config)
+    except (cb.EstimationError, run_error):
+        pass
+
+
+def failures(check, cases):
+    """``check(case)`` for every case; each case that raised, with its error."""
+    found = []
+    for case in cases:
+        try:
+            check(case)
+        except Exception as exc:  # every escape is a finding
+            found.append(f"{case!r}: {type(exc).__name__}: {exc}")
+    return found
+
+
+# The whole product of fields and values runs in about a second, so no
+# case is sampled.
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_hostile_value_of_a_setting_is_refused_or_runs(table_200, name):
+    assert failures(lambda value: hostile_setting(table_200, name, value), HOSTILE_VALUES) == []
+
+
+HOSTILE_TEXTS = ["nan", "inf", "-0", "1e400", "", "0x10", "\u0661\u0662", "-1"]
+NINES = "9" * 30
+
+
+@pytest.fixture(scope="module")
+def argv_base(tmp_path_factory):
+    """Each command's argv, small enough to finish at once, as a dict of
+    option name to text."""
+    tmp = tmp_path_factory.mktemp("hostile_cli")
+    t = cb.generate_dgm(300, cbrng.substream(4, cbrng.DOMAIN_DATASET, 0))
+    rows = ["y,w,x1,x2"] + [f"{y!r},{w},{x[0]!r},{x[1]!r}"
+                            for y, w, x in zip(t.y.tolist(), t.w.tolist(), t.x.tolist())]
+    (tmp / "in.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    small = {"subsets": "2", "replicates": "20", "threads": "1", "output": str(tmp / "out")}
+    return tmp, {
+        "analyze": {"input": str(tmp / "in.csv"), "outcome": "y", "treatment": "w",
+                    "covariates": "x1,x2", **small},
+        "simulate": {"n": "300", "replications": "10", **small},
+        "relerr": {"n": "300", "gammas": "0.7", "replicates": "20", "oracle_reps": "100",
+                   "data_reps": "1", "output": str(tmp / "out")},
+        "benchmark": {"ns": "300", "reps": "1", "output": str(tmp / "out")},
+    }
+
+
+CLI_CASES = [
+    (command, opt.name, text)
+    for command, table in OPTIONS.items()
+    for opt in table if opt.name != "output"
+    for text in HOSTILE_TEXTS + [NINES] * (opt.name in ("replicates", "subset_size"))
+]
+
+
+def run_cli(argv_base, capsys, command, name, text):
+    """``main`` on the command's small argv with option ``name`` set to
+    ``text``: as a flag, or for a switch as a config-file line.  Returns
+    the exit code and stderr."""
+    tmp, bases = argv_base
+    options = {**bases[command], name: text}
+    switch = {opt.name for opt in OPTIONS[command] if isinstance(opt.default, bool)}
+    argv = [command] + [f"--{key.replace('_', '-')}={value}"
+                        for key, value in options.items() if key not in switch]
+    if name in switch:
+        (tmp / "hostile.conf").write_text(f"{name}={text}\n", encoding="utf-8")
+        argv += ["--config", str(tmp / "hostile.conf")]
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def hostile_option(argv_base, capsys, command, name, text):
+    """Exit 0, 2, 3 or 4, and a refusal on one line with no traceback."""
+    code, err = run_cli(argv_base, capsys, command, name, text)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, (code, err)
+    assert err.count("\n") == (code != 0), err
+
+
+# The whole product runs in about two seconds, so no case is sampled.
+@pytest.mark.parametrize("command", OPTIONS)
+def test_every_hostile_option_text_exits_with_a_code(argv_base, capsys, command):
+    cases = [case for case in CLI_CASES if case[0] == command]
+    assert failures(lambda case: hostile_option(argv_base, capsys, *case), cases) == []
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("analyze", "weight_cap", "nan", "weight_cap must be a real number, got nan"),
+    ("simulate", "weight_cap", "nan", "weight_cap must be a real number, got nan"),
+    ("simulate", "balance_threshold", "1e400", "balance_threshold must be a real number, got inf"),
+    *[(command, "seed", "-1", "seed must be at least 0, got -1") for command in OPTIONS],
+])
+def test_cli_refuses_a_setting_it_once_ran(argv_base, capsys, command, name, text, message):
+    assert run_cli(argv_base, capsys, command, name, text) == (
+        2, f"configuration error: {message}\n")
+
+
+@pytest.mark.parametrize("r", [2**62, int(NINES)])
+def test_cli_names_replicates_beyond_any_array(argv_base, capsys, r):
+    code, err = run_cli(argv_base, capsys, "simulate", "replicates", str(r))
+    assert code == 4 and err.startswith(f"estimation error: {r} replicates do not fit in memory")
+    assert err.count("\n") == 1
+
+
+def test_cli_names_replicates_beyond_memory(argv_base):
+    """2**40 replicates need 8 TiB; the child's address space is held to
+    4 GiB, so the allocation fails on any host."""
+    options = {**argv_base[1]["simulate"], "replicates": 2**40}
+    argv = ["simulate"] + [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from causalboot.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                           "PYTHONPATH": str(SRC)})
+    assert run.returncode == 4, run.stderr
+    assert run.stderr.startswith(f"estimation error: {2**40} replicates do not fit in memory")
+    assert run.stderr.count("\n") == 1

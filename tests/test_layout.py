@@ -61,6 +61,45 @@ def test_the_check_sees_both_forms(tmp_path):
     ]
 
 
+def unused_imports(path):
+    """Names a module imports and never reads; a name in its ``__all__``
+    is read, and ``from __future__`` imports are not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    return [f"{path.name}:{line} imports {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in unused_imports(path)]
+    assert found == []
+
+
+def test_the_unused_import_check_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .errors import ConfigError, DataError\n"
+        "from .engine import run_blb\n"
+        "__all__ = ['run_blb']\n"
+        "x: np.ndarray = os.sep\n"
+        "raise ConfigError\n"
+    )
+    assert unused_imports(path) == ["mod.py:4 imports DataError"]
+
+
 # Mutable on purpose: perfbench's checks assign fields of a finished
 # estimate (tau_hat, mean, b0, draws) to show that a corrupted result
 # fails them.

@@ -16,7 +16,10 @@ b = 17,411 and p = 20: scores, coefficients, method, ``converged``,
 
 Two checkouts that print the same lines produce byte-identical payloads
 and fits.  OpenBLAS is held to one thread, so the fits' matrix products
-do not depend on the machine's core count.
+do not depend on the machine's core count.  ``tests/payload_digests.txt``
+holds the output with numpy's dispatch held to its baseline, and
+``tests/test_payload_digests.py`` compares a fresh run with it; its
+docstring gives the command that regenerates the file.
 """
 
 import os
