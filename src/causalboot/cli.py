@@ -119,7 +119,7 @@ _BLB_OPTIONS = (
 
 OPTIONS: dict[str, tuple[Option, ...]] = {
     "analyze": (
-        Option("input", str, REQUIRED, "input CSV path"),
+        Option("input", os.path.abspath, REQUIRED, "input CSV path"),
         Option("outcome", str, REQUIRED, "outcome column name"),
         Option("treatment", str, REQUIRED, "treatment column name (0/1)"),
         Option("covariates", _list_of(str), REQUIRED, "comma-separated covariate column names"),
@@ -300,16 +300,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_result(path: Path, command: str, started: str, payload: dict, config: dict,
-                  seed: int, threads: int, timing: dict, input_digest: str | None = None) -> None:
-    """Write a command's one result document: its deterministic ``payload``,
-    a ``manifest`` of the run, and ``timing``, where every time goes."""
+def _write_result(path: Path, command: str, started: str, payload: dict,
+                  opts: argparse.Namespace, timing: dict, input_digest: str | None = None) -> None:
+    """Write a command's one result document: its deterministic ``payload``, a
+    ``manifest`` whose ``config``, every resolved option but ``output``, reruns
+    the run, and ``timing``, wall times measured around calls."""
+    config = {key: value for key, value in vars(opts).items() if key != "output"}
     manifest = {
         "command": command,
         "version": __version__,
         "config": _json_safe(config),
-        "seed": seed,
-        "threads": threads,
+        "seed": opts.seed,
+        "threads": config.get("threads", 1),  # relerr and benchmark run on one
         "input_digest": input_digest,
         "started_utc": started,
         "finished_utc": _utcnow(),
@@ -322,30 +324,24 @@ def _write_result(path: Path, command: str, started: str, payload: dict, config:
 # ---------------------------------------------------------------------
 
 def _split_method(method: str) -> tuple[str, str | None]:
-    if method.startswith("external:"):
-        path = method.split(":", 1)[1]
-        if not path:
-            raise ConfigError("external method requires a path: external:PATH")
-        return "external", path
-    if method == "external":
+    if method != "external" and not method.startswith("external:"):
+        return method, None
+    if method in ("external", "external:"):
         raise ConfigError("external method requires a path: external:PATH")
-    return method, None
+    return "external", os.path.abspath(method[len("external:"):])
 
 
 def _build_config(opts: argparse.Namespace) -> BlbConfig:
-    """Options named as a field pass through; gamma defaults if b is not given."""
+    """Options named as a field pass through.  For the manifest, a scores path
+    goes into the options absolute, and gamma's default if b is not given."""
     estimator, scores_path = _split_method(opts.method)
+    opts.method = estimator if scores_path is None else f"external:{scores_path}"
+    if opts.gamma is None and opts.subset_size is None:
+        opts.gamma = _RUN.gamma
     same_name = {f.name: getattr(opts, f.name) for f in dataclasses.fields(BlbConfig)
                  if f.name in opts}
-    if opts.gamma is None and opts.subset_size is None:
-        same_name["gamma"] = _RUN.gamma
     return BlbConfig(**same_name, truncation=opts.truncate, ci_kind=opts.ci,
                      estimator=estimator, external_scores=scores_path)
-
-
-def _settings(opts: argparse.Namespace) -> dict:
-    """The resolved options a manifest records: all but the output directory."""
-    return {key: value for key, value in vars(opts).items() if key != "output"}
 
 
 def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
@@ -355,13 +351,12 @@ def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
     t0 = time.perf_counter()
     table = load_csv(opts.input, opts.outcome, opts.treatment, opts.covariates,
                      na_policy=opts.na_policy)
-    load_seconds = time.perf_counter() - t0
+    t1 = time.perf_counter()
     result = run_blb(table, config)
+    timing = {"load_seconds": t1 - t0, "total_seconds": time.perf_counter() - t1}
 
     _write_result(out_dir / "result.json", "analyze", started,
-                  _estimate_payload(result, table.dropped_rows),
-                  dataclasses.asdict(config), config.seed, config.threads,
-                  {"load_seconds": load_seconds, **result.timings},
+                  _estimate_payload(result, table.dropped_rows), opts, timing,
                   input_digest=_digest(opts.input))
     if opts.emit_draws:
         rows = [
@@ -379,13 +374,12 @@ def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
 
 def cmd_simulate(opts: argparse.Namespace, started: str) -> int:
     config = _build_config(opts)
-    n, R = opts.n, opts.replications
     out_dir = Path(opts.output)
 
-    summary = run_replications(R, n, config)
+    summary = run_replications(opts.replications, opts.n, config)
     payload = {
         "replications": summary.replications,
-        "n": n,
+        "n": opts.n,
         "tau": TRUE_ATE,
         "mean_tau_hat": summary.bias + TRUE_ATE,
         "bias": summary.bias,
@@ -396,9 +390,7 @@ def cmd_simulate(opts: argparse.Namespace, started: str) -> int:
         "coverage_percentile": summary.coverage_percentile,
         "coverage_asymptotic": summary.coverage_asymptotic,
     }
-    _write_result(out_dir / "summary.json", "simulate", started, payload,
-                  {**dataclasses.asdict(config), "n": n, "replications": R},
-                  config.seed, config.threads,
+    _write_result(out_dir / "summary.json", "simulate", started, payload, opts,
                   {"per_replication_quartiles": list(summary.timing_quartiles)})
     _write_csv(out_dir / "zipplot.csv", list(ZIP_COLUMNS), summary.zip_rows())
     print(
@@ -425,8 +417,7 @@ def cmd_relerr(opts: argparse.Namespace, started: str) -> int:
         "gammas": opts.gammas,
         "terminal_err": {str(t.gamma): t.err[-1] for t in trajectories},
     }
-    _write_result(out_dir / "relerr_summary.json", "relerr", started, payload,
-                  _settings(opts), opts.seed, 1,
+    _write_result(out_dir / "relerr_summary.json", "relerr", started, payload, opts,
                   {"per_gamma_total_seconds": {str(t.gamma): t.cum_seconds[-1]
                                                for t in trajectories}})
     for t in trajectories:
@@ -455,7 +446,7 @@ def cmd_benchmark(opts: argparse.Namespace, started: str) -> int:
     ]
     _write_csv(out_dir / "medians.csv", ["n", "p", "method", "s", "median_seconds"], med_rows)
     _write_result(out_dir / "benchmark_summary.json", "benchmark", started,
-                  {"cells": len(cells)}, _settings(opts), opts.seed, 1, {})
+                  {"cells": len(cells)}, opts, {})
     for cell in cells:
         print(f"n={cell.n} p={cell.p} {cell.method} s={cell.s}: "
               f"median {cell.median_seconds:.4f}s")

@@ -31,9 +31,16 @@ _REAL = ("a real number", lambda v: isinstance(v, Real) and not isinstance(v, bo
          and (isinstance(v, Integral) or math.isfinite(v)))
 _BOOL = ("a bool", lambda v: isinstance(v, (bool, np.bool_)))
 _STRING = ("a string", lambda v: isinstance(v, str))
-_PATH = ("a path", lambda v: isinstance(v, (str, os.PathLike)))
+PATH = ("a str or os.PathLike", lambda v: isinstance(v, (str, os.PathLike)))
 _PAIR = ("a tuple of two reals",
          lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_REAL[1], v)))
+
+
+def check(name: str, value, *rules) -> None:
+    """Refuse ``value`` at the first rule, a (requirement, test) pair, it fails."""
+    for requirement, holds in rules:
+        if not holds(value):
+            raise ConfigError(f"{name} must be {requirement}, got {value!r}")
 
 
 def _setting(default, kind, admits=("", lambda v: True), optional=False):
@@ -61,7 +68,7 @@ class BlbConfig:
     estimator: str = _setting("logistic", _STRING,
                               (f"one of {ESTIMATORS}", ESTIMATORS.__contains__))
     external_scores: str | os.PathLike | None = _setting(
-        None, _PATH, ("a nonempty path", lambda v: v != ""), optional=True)
+        None, PATH, ("a nonempty path", lambda v: v != ""), optional=True)
     max_redraws: int = _setting(10, _INTEGER, ("at least 0", lambda v: v >= 0))
     weight_cap: float = _setting(0.1, _REAL, ("positive", lambda v: v > 0))
     balance_threshold: float = _setting(0.1, _REAL, ("positive", lambda v: v > 0))
@@ -73,9 +80,7 @@ class BlbConfig:
             value = getattr(self, f.name)
             if value is None and f.metadata["optional"]:
                 continue
-            for requirement, holds in f.metadata["rules"]:
-                if not holds(value):
-                    raise ConfigError(f"{f.name} must be {requirement}, got {value!r}")
+            check(f.name, value, *f.metadata["rules"])
         if (self.gamma is None) == (self.subset_size is None):
             need = "set when gamma is None" if self.gamma is None else "None when gamma is set"
             raise ConfigError(f"subset_size must be {need}, got {self.subset_size!r}")

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PATH, check
 from .errors import ConfigError, DataError
 
 # Cell contents treated as missing (case-insensitive, after stripping).
@@ -312,6 +313,7 @@ def load_csv(
     if not covariate_cols:
         raise ConfigError("at least one covariate column is required")
     used = [outcome_col, treatment_col, *covariate_cols]
+    check("path", path, PATH)  # open() would read an int as a file descriptor
 
     try:
         handle = open(path, newline="", encoding="utf-8-sig")

@@ -35,10 +35,9 @@ count, block size or scheduling.
 from __future__ import annotations
 
 import math
-import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,10 +131,6 @@ class SubsetEstimate:
     redraws: int
     balance: BalanceReport
     fit: FitSummary              # of the truncated fit
-    # Wall time of the subset's fits over all attempts and of its
-    # resampling; reported outside payloads.
-    fit_seconds: float = 0.0
-    resample_seconds: float = 0.0
 
 
 @dataclass
@@ -154,7 +149,6 @@ class BlbEstimate:
     b: int
     subsets: list[SubsetEstimate]
     diagnostics: dict
-    timings: dict = field(default_factory=dict)
 
 
 def order_subset(
@@ -414,11 +408,9 @@ def _run_one_subset(
     """
     n0, n1 = table.n0, table.n1
     reasons: list[str] = []
-    fit_seconds = 0.0
     for attempt in range(config.max_redraws + 1):
         stream = rng.substream(config.seed, rng.DOMAIN_SUBSET, k, attempt)
         indices = draw_subset(table, b, stream)
-        t0 = time.perf_counter()
         try:
             fit = fit_scores(table, indices, config, external)
             fit = truncate_scores(fit, *config.truncation)
@@ -429,12 +421,9 @@ def _run_one_subset(
         except EstimationError as exc:
             reasons.append(f"attempt {attempt}: {exc}")
             continue
-        finally:
-            fit_seconds += time.perf_counter() - t0
         del indices, fit  # resampling reads only subsetfit
         rep_stream = rng.substream(config.seed, rng.DOMAIN_REPLICATE, k, attempt)
-        t0 = time.perf_counter()
-        estimate = run_subset(
+        return run_subset(
             subsetfit,
             config.replicates,
             n0,
@@ -443,13 +432,21 @@ def _run_one_subset(
             rep_stream,
             redraws=attempt,
         )
-        estimate.resample_seconds = time.perf_counter() - t0
-        estimate.fit_seconds = fit_seconds
-        return estimate
     raise RedrawBudgetError(
         f"subset {k}: no usable subset in {config.max_redraws + 1} attempts "
         f"({'; '.join(reasons)})"
     )
+
+
+def ordered_map(func: Callable, items: Iterable, threads: int) -> Iterator:
+    """``map(func, items)`` in input order, whatever the scheduling: on a
+    pool of ``threads`` threads if there are several, else on the calling
+    thread."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(func, items)
+    else:
+        yield from map(func, items)
 
 
 def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetEstimate]:
@@ -458,10 +455,9 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     This is the one subset pipeline.  It resolves the subset size and
     any external scores once; each subset is then drawn, fitted,
     truncated, ordered, checked against the weight cap and (optionally)
-    the balance threshold, redrawn on failure, and resampled.  With
-    ``config.threads > 1`` the subsets run on a thread pool whose ordered
-    map keeps the output independent of scheduling.  Closing the
-    generator early cancels subsets not yet started.
+    the balance threshold, redrawn on failure, and resampled, by
+    ``ordered_map`` on ``config.threads`` threads.  Closing the generator
+    early cancels subsets not yet started.
     """
     require_both_arms(table.w)
     b = config.subset_size or subset_size(table.n, config.gamma)
@@ -473,12 +469,7 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     def job(k: int) -> SubsetEstimate:
         return _run_one_subset(table, config, k, b, external)
 
-    ks = range(config.subsets)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            yield from pool.map(job, ks)
-    else:
-        yield from map(job, ks)
+    yield from ordered_map(job, range(config.subsets), config.threads)
 
 
 def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
@@ -490,7 +481,6 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
     the mean of the per-subset bounds.  The result is a pure function of
     (table, config), independent of thread count.
     """
-    start = time.perf_counter()
     estimates = list(iter_subsets(table, config))
     b = estimates[0].b0 + estimates[0].b1  # every subset has size b
 
@@ -525,11 +515,6 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
             default=None,
         ),
     }
-    timings = {
-        "fit_seconds": sum(e.fit_seconds for e in estimates),
-        "resample_seconds": sum(e.resample_seconds for e in estimates),
-        "total_seconds": time.perf_counter() - start,
-    }
     return BlbEstimate(
         tau_hat=average("mean"),
         se=average("se"),
@@ -543,5 +528,4 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
         b=b,
         subsets=estimates,
         diagnostics=diagnostics,
-        timings=timings,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import rng
 from .config import BlbConfig
 from .data import ObservationTable
-from .engine import fit_scores, iter_subsets, run_blb
+from .engine import fit_scores, iter_subsets, ordered_map, run_blb
 from .errors import ConfigError, EstimationError
 from .inference import hajek_ipw, percentile_ci
 from .propensity import expit, fit_logistic_irls, normalized_weights, truncate_scores
@@ -127,10 +126,13 @@ def run_replications(
     replications run at once.  Replication i draws its dataset from
     substream (seed, dataset, i) and runs ``config`` on one thread with
     the derived seed (seed, i), so the summary is reproducible and
-    schedule-independent.
+    schedule-independent.  External scores are refused: each replication
+    draws a new dataset, which no one scores file describes.
     """
     if R < 10:
         raise ConfigError(f"replications must be at least 10, got {R}")
+    if config.estimator == "external":
+        raise ConfigError("estimator must not be 'external': no scores file fits fresh datasets")
     seed = config.seed
 
     def one(i: int) -> ReplicationRecord:
@@ -152,11 +154,7 @@ def run_replications(
             seconds=seconds,
         )
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(one, range(R)))
-    else:
-        records = [one(i) for i in range(R)]
+    records = list(ordered_map(one, range(R), config.threads))
 
     taus = np.array([r.tau_hat for r in records])
     coverage = float(np.mean([r.covered for r in records]))

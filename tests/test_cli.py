@@ -1,6 +1,6 @@
 import csv
-import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -13,6 +13,7 @@ from causalboot.cli import main
 from causalboot.config import BlbConfig
 from causalboot.data import load_csv
 from causalboot.engine import run_blb
+from causalboot.propensity import expit
 from causalboot.simulation import generate_dgm
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -224,6 +225,17 @@ class TestSimulate:
                            "covered", "centile_rank"]
         assert len(rows) - 1 == 12
 
+    def test_external_scores_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.5\n" * 500, encoding="utf-8")
+        code = main(["simulate", "--n", "500", "--replications", "10", "--subsets", "2",
+                     "--replicates", "20", "--method", f"external:{scores}",
+                     "--output", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("configuration error: estimator must not be "
+                                           "'external': no scores file fits fresh datasets\n")
+        assert not (tmp_path / "summary.json").exists()
+
     def test_below_minimum_replications(self, tmp_path):
         code = main(
             ["simulate", "--n", "600", "--replications", "1", "--output", str(tmp_path)]
@@ -406,14 +418,11 @@ class TestOptionTable:
         assert from_flag == from_file
         assert getattr(from_flag, option.name) != option.default
 
-    def test_analyze_defaults_are_blbconfig_defaults(self, dgm_csv, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main(["analyze", "--input", str(dgm_csv), "--outcome", "y", "--treatment", "w",
-                     "--covariates", "x1,x2"])
-        assert code == 0
-        document = json.loads((tmp_path / "result.json").read_text())
-        defaults = dataclasses.asdict(BlbConfig(threads=os.cpu_count() or 1))
-        assert document["manifest"]["config"] == json.loads(json.dumps(defaults))
+    def test_analyze_defaults_are_blbconfig_defaults(self):
+        argv = ["analyze", "--input", "in.csv", "--outcome", "y", "--treatment", "w",
+                "--covariates", "x1,x2"]
+        config = cli._build_config(cli._options(cli.build_parser().parse_args(argv)))
+        assert config == BlbConfig(threads=os.cpu_count() or 1)
 
     @pytest.mark.parametrize("command, names", [
         ("relerr", ("replicates", "seed")),
@@ -457,3 +466,83 @@ class TestBenchmarkGrid:
         assert {(row[1], row[3]) for row in rows} == {("2", "2"), ("2", "4")}
         document = json.loads((tmp_path / "benchmark_summary.json").read_text())
         assert document["manifest"]["config"]["p"] == [2]
+
+
+def config_lines(config):
+    """A manifest's ``config`` as key=value lines: lists joined by commas,
+    None values left out."""
+    return [f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}"
+            for key, value in config.items() if value is not None]
+
+
+def write_scores(csv_path, path):
+    """Logistic scores of the CSV's rows, one per line."""
+    table = load_csv(str(csv_path), "y", "w", ["x1", "x2"])
+    values = expit(-0.5 * table.x.sum(axis=1))
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()), encoding="utf-8")
+    return path
+
+
+ANALYZE = ["analyze", "--input", "{csv}", "--outcome", "y", "--treatment", "w",
+           "--covariates", "x1,x2", "--subsets", "4", "--replicates", "50", "--seed", "1"]
+# run: (argv without --output, with {csv} and {scores} to fill in; result file)
+RERUNS = {
+    "analyze-default-gamma-threads-2": (ANALYZE + ["--threads", "2"], "result.json"),
+    "analyze-subset-size-external": (
+        ANALYZE + ["--subset-size", "400", "--method", "external:{scores}"], "result.json"),
+    "simulate": (["simulate", "--n", "500", "--replications", "10", "--method", "cbps",
+                  "--subsets", "2", "--replicates", "20", "--seed", "4"], "summary.json"),
+    "relerr": (["relerr", "--n", "600", "--gammas", "0.6,0.8", "--replicates", "20",
+                "--oracle-reps", "100", "--data-reps", "1", "--seed", "2"], "relerr_summary.json"),
+    "benchmark-grid": (["benchmark", "--ns", "2000", "--methods", "logistic", "--grid",
+                        "--reps", "1"], "benchmark_summary.json"),
+}
+
+
+@pytest.mark.parametrize("run", list(RERUNS))
+def test_manifest_config_reruns_the_run(run, dgm_csv, tmp_path):
+    argv, name = RERUNS[run]
+    scores = write_scores(dgm_csv, tmp_path / "scores.txt")
+    argv = [arg.format(csv=dgm_csv, scores=scores) for arg in argv]
+    assert main(argv + ["--output", str(tmp_path / "first")]) == 0
+    first = json.loads((tmp_path / "first" / name).read_text())
+    config = first["manifest"]["config"]
+    assert set(config) == {opt.name for opt in cli.OPTIONS[argv[0]]} - {"output"}
+    # defaults that depend on other options are written in: only b's
+    # unused form is left None
+    assert [key for key, value in config.items() if value is None] in (
+        [], ["gamma"], ["subset_size"])
+    cfg = tmp_path / "manifest.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in config_lines(config)), encoding="utf-8")
+    assert main([argv[0], "--config", str(cfg), "--output", str(tmp_path / "again")]) == 0
+    again = json.loads((tmp_path / "again" / name).read_text())
+    assert again["payload"] == first["payload"]
+    assert again["manifest"]["config"] == config
+
+
+def test_manifest_reruns_from_another_directory(dgm_csv, tmp_path, monkeypatch):
+    # relative paths are recorded absolute, so the rerun may start anywhere
+    for name in ("run", "elsewhere"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "run" / "in.csv").write_bytes(dgm_csv.read_bytes())
+    write_scores(dgm_csv, tmp_path / "run" / "scores.txt")
+    monkeypatch.chdir(tmp_path / "run")
+    argv = [arg.format(csv="in.csv") for arg in ANALYZE] + ["--method", "external:scores.txt"]
+    assert main(argv + ["--output", "first"]) == 0
+    first = json.loads(Path("first", "result.json").read_text())
+    config = first["manifest"]["config"]
+    assert config["input"] == str(Path.cwd() / "in.csv")
+    assert config["method"] == f"external:{Path.cwd() / 'scores.txt'}"
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    Path("manifest.cfg").write_text("".join(f"{line}\n" for line in config_lines(config)),
+                                    encoding="utf-8")
+    assert main(["analyze", "--config", "manifest.cfg", "--output", "again"]) == 0
+    again = json.loads(Path("again", "result.json").read_text())
+    assert again["payload"] == first["payload"]
+
+
+def test_analyze_timing_holds_the_load_and_run_wall_times(dgm_csv, tmp_path):
+    assert main(analyze_args(dgm_csv, tmp_path)) == 0
+    timing = json.loads((tmp_path / "result.json").read_text())["timing"]
+    assert set(timing) == {"load_seconds", "total_seconds"}
+    assert all(math.isfinite(value) and value >= 0 for value in timing.values())

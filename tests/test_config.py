@@ -69,7 +69,7 @@ REJECTIONS = {
     "truncation_triple": ({"truncation": (0.1, 0.5, 0.9)},
                           r"^truncation must be a tuple of two reals, got \(0\.1, 0\.5, 0\.9\)$"),
     "external_scores_descriptor": ({"estimator": "external", "external_scores": 3},
-                                   r"^external_scores must be a path, got 3$"),
+                                   r"^external_scores must be a str or os.PathLike, got 3$"),
     "seed_negative": ({"seed": -1}, r"^seed must be at least 0, got -1$"),
 }
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 from unittest import mock
 
@@ -571,3 +572,19 @@ class TestExternalScoresNonFinite:
         code = main(analyze_args(csv_path, tmp_path, **{"--method": f"external:{scores}"}))
         assert code == 3
         assert "non-finite score 'nan' at line 701" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("load", [lambda path: load_csv(path, "y", "w", ["x1"]),
+                                  lambda path: load_external_scores(path, 2)],
+                         ids=["load_csv", "load_external_scores"])
+def test_loaders_refuse_a_file_descriptor(load):
+    # open() would read an integer as a descriptor, and close it
+    read, write = os.pipe()
+    os.write(write, b"0.5\n0.5\n")
+    os.close(write)
+    try:
+        with pytest.raises(ConfigError, match=rf"^path must be a str or os.PathLike, got {read}$"):
+            load(read)
+        assert os.read(read, 64) == b"0.5\n0.5\n"  # still open, nothing read
+    finally:
+        os.close(read)

@@ -152,6 +152,16 @@ class TestRunReplications:
         with pytest.raises(ConfigError):
             run_replications(5, 500, cfg)
 
+    def test_external_scores_refused_before_any_dataset(self, tmp_path, monkeypatch):
+        # one scores file cannot describe datasets drawn afresh each replication
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.5\n" * 500, encoding="utf-8")
+        cfg = cb.BlbConfig(gamma=0.7, subsets=2, replicates=20, estimator="external",
+                           external_scores=str(scores))
+        monkeypatch.setattr(simulation, "generate_dgm", pytest.fail)
+        with pytest.raises(ConfigError, match="^estimator must not be 'external'"):
+            run_replications(10, 500, cfg)
+
     def test_marginal_estimator_unbiased_on_randomized_data(self):
         # the marginal-rate estimator targets experiments; on randomized
         # assignment its replication mean stays near the truth
