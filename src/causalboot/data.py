@@ -16,6 +16,14 @@ from .errors import ConfigError, DataError
 # Cell contents treated as missing (case-insensitive, after stripping).
 _NA_TOKENS = frozenset({"", "na", "nan", "null"})
 
+# Rows per block of ``draw_subset``.  numpy draws without replacement
+# from at most this many rows by Floyd's algorithm, in memory of the rows
+# it picks; from more it may permute an int64 arange of all of them.
+_DRAW_BLOCK = 10_000
+# numpy's multivariate hypergeometric ("marginals") refuses a population
+# of this many rows or more.
+_SPLIT_LIMIT = 10**9
+
 # What ``load_csv`` does with a row holding a missing cell; the first is
 # the default.
 NA_POLICIES = ("reject", "drop")
@@ -351,10 +359,32 @@ def subset_size(n: int, gamma: float) -> int:
 
 
 def draw_subset(table: ObservationTable, b: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw ``b`` distinct row indices uniformly, returned sorted ascending."""
+    """Draw ``b`` distinct row indices uniformly, returned sorted ascending.
+
+    The rows are split into blocks of ``_DRAW_BLOCK``.  A multivariate
+    hypergeometric draw gives each block its share of the ``b`` rows,
+    and each block draws its share without replacement; together that is
+    a uniform b-subset, drawn in O(b) memory, not O(n).  numpy refuses to
+    split a table of ``_SPLIT_LIMIT`` rows or more; there the subset is
+    ``stream.choice(n, b, replace=False)``'s, which permutes an int64
+    arange of all n rows.
+    """
     n = table.n
     if not 2 <= b <= n:
         raise ConfigError(f"subset size {b} outside [2, {n}]")
-    idx = stream.choice(n, size=b, replace=False)
-    idx.sort()
+    if n >= _SPLIT_LIMIT:
+        idx = stream.choice(n, size=b, replace=False)
+        idx.sort()
+        return idx
+    starts = range(0, n, _DRAW_BLOCK)
+    sizes = [min(_DRAW_BLOCK, n - start) for start in starts]
+    shares = stream.multivariate_hypergeometric(sizes, b, method="marginals")
+    idx = np.empty(b, dtype=np.int64)
+    filled = 0
+    for start, size, k in zip(starts, sizes, shares.tolist()):
+        block = idx[filled : filled + k]
+        block[...] = stream.choice(size, size=k, replace=False, shuffle=False)
+        block.sort()
+        block += start
+        filled += k
     return idx

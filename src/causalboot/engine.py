@@ -27,7 +27,8 @@ top-up draws plus the r totals, whatever r and b are.
 
 Every random draw comes from a substream keyed by (seed, subset,
 attempt), with a subset's replicates drawn in a fixed order from its
-own stream, and the totals are summed row by row without BLAS, so
+own stream.  The totals are summed row by row, and the fits and
+weighted sums reduce in a fixed order, none of them through BLAS, so
 results are bit-identical regardless of thread count, BLAS thread
 count, block size or scheduling.
 """
@@ -160,27 +161,27 @@ def order_subset(
 ) -> SubsetFit:
     """Split a subset into its arms, weigh them and check their balance.
 
-    The weights come from the scores in index order.  The outcomes and
-    covariates are gathered controls-first, and stably, so rows keep
-    their original relative order within each arm, which is the order
-    of the weights; the covariates are dropped once the balance is
-    computed.  ``normalized_weights`` raises ``DegenerateSubsetError``
-    when the subset has a single arm.
+    The weights come from the scores in index order.  The arms' rows
+    are taken controls first, each arm in index order, which is the
+    order of its weights.  The outcomes are gathered once, in that
+    order; the covariates are gathered for the balance alone, each arm's
+    as one contiguous column array.  ``normalized_weights`` raises
+    ``DegenerateSubsetError`` when the subset has a single arm.
     """
     w_sub = table.w[indices]
     weights = normalized_weights(fit, w_sub)
-    b0 = weights.w0.shape[0]
-    rows = indices[np.argsort(w_sub, kind="stable")]
-    # one gather per array, its arms views of it: copies per arm leave the
-    # traced peak as it is, but raised the max RSS of run_blb at n = 1e6,
-    # b = 125,893 by about 0.7 MB (heap layout)
-    y = table.y[rows]
-    x = table.x[rows]
-    balance = smd_balance(x[:b0], x[b0:], weights, balance_threshold, table.covariate_names)
+    treated = w_sub == 1
+    rows0, rows1 = indices[~treated], indices[treated]
+    y = table.y[np.concatenate((rows0, rows1))]
+    balance = smd_balance(
+        _covariate_columns(table, rows0).T,
+        _covariate_columns(table, rows1).T,
+        weights, balance_threshold, table.covariate_names,
+    )
     return SubsetFit(
         subset_id=subset_id,
         y=y,
-        b0=b0,
+        b0=rows0.shape[0],
         weights=weights,
         balance=balance,
         fit=FitSummary(fit.method, fit.converged, fit.iterations, fit.objective, fit.clamped),
@@ -359,6 +360,16 @@ def run_subset(
     )
 
 
+def _covariate_columns(table: ObservationTable, indices: np.ndarray) -> np.ndarray:
+    """The covariates of the rows ``indices`` as one contiguous p x b
+    array, gathered a column at a time: the fits and the balance check
+    read its transpose column by column."""
+    columns = np.empty((table.p, indices.shape[0]))
+    for j, column in enumerate(columns):
+        column[...] = table.x[indices, j]
+    return columns
+
+
 def fit_scores(
     table: ObservationTable,
     indices: np.ndarray,
@@ -372,9 +383,9 @@ def fit_scores(
     """
     w_sub = table.w[indices]
     if config.estimator == "logistic":
-        return fit_logistic_irls(table.x[indices], w_sub)
+        return fit_logistic_irls(_covariate_columns(table, indices).T, w_sub)
     if config.estimator == "cbps":
-        return fit_cbps(table.x[indices], w_sub)
+        return fit_cbps(_covariate_columns(table, indices).T, w_sub)
     if config.estimator == "marginal":
         return marginal_propensity(w_sub)
     # external: slice the full-data score vector at the subset rows

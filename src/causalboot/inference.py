@@ -83,7 +83,7 @@ def hajek_ipw(y0: np.ndarray, y1: np.ndarray, weights: ArmWeights) -> float:
     y1 = np.asarray(y1, dtype=np.float64)
     if y1.size != weights.w1.size or y0.size != weights.w0.size:
         raise EstimationError("arm weights do not match arm sizes")
-    return float(weights.w1 @ y1 - weights.w0 @ y0)
+    return float(np.einsum("i,i->", weights.w1, y1) - np.einsum("i,i->", weights.w0, y0))
 
 
 def _mean_difference_and_sd(x0: np.ndarray, x1: np.ndarray, weights: ArmWeights
@@ -91,8 +91,8 @@ def _mean_difference_and_sd(x0: np.ndarray, x1: np.ndarray, weights: ArmWeights
     """One covariate's weighted mean difference between the arms and its
     pooled SD.  The means go first: the order of the temporaries sets the
     heap layout, and with it the peak RSS at large b."""
-    mean1 = float(weights.w1 @ x1)
-    mean0 = float(weights.w0 @ x0)
+    mean1 = float(np.einsum("i,i->", weights.w1, x1))
+    mean0 = float(np.einsum("i,i->", weights.w0, x0))
     var1 = float(x1.var(ddof=1)) if x1.shape[0] > 1 else 0.0
     var0 = float(x0.var(ddof=1)) if x0.shape[0] > 1 else 0.0
     return mean1 - mean0, math.sqrt((var1 + var0) / 2.0)
@@ -123,13 +123,13 @@ def smd_balance(
     smd: dict[str, float] = {}
     skipped: list[str] = []
     finite: list[float] = []
-    for j, name in enumerate(names):
+    for name, column0, column1 in zip(names, x0.T, x1.T):
         with np.errstate(over="ignore"):  # the variance of huge covariates; rescaled below
-            diff, pooled = _mean_difference_and_sd(x0[:, j], x1[:, j], weights)
+            diff, pooled = _mean_difference_and_sd(column0, column1, weights)
         if not 0.0 < pooled < math.inf:
-            e = int(np.frexp(max(np.abs(x0[:, j]).max(), np.abs(x1[:, j]).max()))[1])
+            e = int(np.frexp(max(np.abs(column0).max(), np.abs(column1).max()))[1])
             diff, pooled = _mean_difference_and_sd(
-                np.ldexp(x0, -e)[:, j], np.ldexp(x1, -e)[:, j], weights
+                np.ldexp(column0, -e), np.ldexp(column1, -e), weights
             )
         if pooled == 0.0:
             smd[name] = float("nan")

@@ -5,7 +5,10 @@ regression fit by iteratively reweighted least squares, a just-identified
 covariate-balancing fit solved by damped Newton on the balance conditions,
 from the IRLS solution, and the marginal treatment rate; both regression
 fits run one damped-Newton loop, which evaluates each iterate once, from
-one X beta.  A fourth path loads scores computed by an external tool.
+one X beta.  The design X = [1, x] is never formed: its products are
+computed from the covariate columns, with the intercept apart, as
+fixed-order numpy reductions rather than BLAS calls.  A fourth path
+loads scores computed by an external tool.
 Scores are then truncated and turned into the normalized
 inverse-propensity weights that drive the resampling engine:
 
@@ -102,9 +105,15 @@ def require_both_arms(w: np.ndarray) -> int:
 
 
 def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The design [1, x] and ``w`` as floats, once the rows match, both
-    arms are present, rows outnumber parameters and no column of ``x``
-    has a standard deviation of 0."""
+    """The covariates as one contiguous p x b array of columns and ``w``
+    as floats, once the rows match, both arms are present, rows
+    outnumber parameters and no column of ``x`` has a standard deviation
+    of 0.
+
+    The fits handle the intercept apart from these columns, so they hold
+    no b x (p+1) design.  A b x p ``x`` that is the transpose of
+    contiguous columns, as ``engine.fit_scores`` passes, is not copied.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -115,13 +124,43 @@ def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     require_both_arms(w)
     if b <= p + 1:
         raise EstimationError(f"need more rows than parameters: b={b}, p={p}")
+    columns = np.ascontiguousarray(x.T)
     with np.errstate(all="ignore"):  # the SD of huge covariates overflows to inf
-        constant = np.flatnonzero(x.std(axis=0) == 0.0)
-    if constant.size:
+        constant = [j for j, column in enumerate(columns) if column.std() == 0.0]
+    if constant:
         raise EstimationError(
-            f"covariate column {int(constant[0])} is constant; drop it (intercept is implicit)"
+            f"covariate column {constant[0]} is constant; drop it (intercept is implicit)"
         )
-    return np.hstack([np.ones((b, 1)), x]), w.astype(np.float64)
+    return columns, w.astype(np.float64)
+
+
+# The products of the design X = [1, x] that the fits need, from the
+# columns of x.  Each is a fixed-order np.einsum reduction, not a BLAS
+# call, so its bits do not depend on the BLAS thread pool.
+def _linear_predictor(columns: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """X beta, a new b-vector."""
+    eta = np.einsum("ji,j->i", columns, beta[1:])
+    eta += beta[0]
+    return eta
+
+
+def _design_dot(columns: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X'v: the sum of v, then each column's dot product with v."""
+    out = np.empty(columns.shape[0] + 1)
+    out[0] = np.einsum("i->", v)
+    np.einsum("ji,i->j", columns, v, out=out[1:])
+    return out
+
+
+def _design_gram(columns: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """X'DX with D = diag(d), a row of its upper triangle at a time:
+    row j holds the dot products of d * x_j with x_j, ..., x_p, so one
+    weighted column is alive at a time, never a weighted copy of x."""
+    gram = np.empty((columns.shape[0] + 1,) * 2)
+    gram[0] = gram[:, 0] = _design_dot(columns, d)
+    for j, column in enumerate(columns, start=1):
+        gram[j, j:] = gram[j:, j] = np.einsum("ki,i->k", columns[j - 1 :], column * d)
+    return gram
 
 
 def _newton(method, evaluate, beta, accept, tol, max_iter, at_root=None) -> PropensityFit:
@@ -196,21 +235,23 @@ def fit_logistic_irls(x: np.ndarray, w: np.ndarray) -> PropensityFit:
     return _irls(*_check_fit_inputs(x, w))
 
 
-def _likelihood_equations(X: np.ndarray, w: np.ndarray, beta: np.ndarray):
+def _likelihood_equations(columns: np.ndarray, w: np.ndarray, beta: np.ndarray):
     """IRLS's evaluation at ``beta`` for ``_newton``: the log-likelihood,
     max|X beta|, the score X'(w - pi), its Jacobian -X'WX with
     W = pi(1 - pi), and pi."""
-    eta = X @ beta
+    eta = _linear_predictor(columns, beta)
     # log L = sum(w*eta - log(1 + exp(eta))), stable via logaddexp
-    loglik = float(np.sum(w * eta - np.logaddexp(0.0, eta)))
-    eta_max = float(np.max(np.abs(eta)))
+    softplus = np.logaddexp(0.0, eta)
+    loglik = float((w * eta - softplus).sum())
+    eta_max = float(np.abs(eta).max())
     pi = expit(eta, out=eta)
-    return loglik, eta_max, X.T @ (w - pi), lambda: -(X.T @ (X * (pi * (1.0 - pi))[:, None])), pi
+    score = _design_dot(columns, np.subtract(w, pi, out=softplus))
+    return loglik, eta_max, score, lambda: -_design_gram(columns, pi * (1.0 - pi)), pi
 
 
-def _irls(X: np.ndarray, w: np.ndarray) -> PropensityFit:
-    """The IRLS fit on a checked design ``X`` and float 0/1 vector ``w``."""
-    beta = np.zeros(X.shape[1])
+def _irls(columns: np.ndarray, w: np.ndarray) -> PropensityFit:
+    """The IRLS fit on checked covariate columns and float 0/1 vector ``w``."""
+    beta = np.zeros(columns.shape[0] + 1)
     # Start at the intercept-only MLE so the first step is well scaled.
     rate = w.mean()
     beta[0] = np.log(rate / (1.0 - rate))
@@ -222,32 +263,32 @@ def _irls(X: np.ndarray, w: np.ndarray) -> PropensityFit:
             )
 
     return _newton(
-        "logistic", lambda beta: _likelihood_equations(X, w, beta), beta,
+        "logistic", lambda beta: _likelihood_equations(columns, w, beta), beta,
         # a step is taken unless the log-likelihood falls
         lambda new, old, scale: new >= old - 1e-12 * abs(old),
         IRLS_TOL, IRLS_MAX_ITER, at_root,
     )
 
 
-def _balance_conditions(X: np.ndarray, w: np.ndarray, beta: np.ndarray):
+def _balance_conditions(columns: np.ndarray, w: np.ndarray, beta: np.ndarray):
     """The balancing fit's evaluation at ``beta`` for ``_newton``: the
     merit 0.5*||g||^2, max|X beta|, the just-identified ATE balance
     moments g(beta), intercept included, their Jacobian
     J(beta) = -X'DX/b with D = w(1 - pi)/pi + (1 - w)pi/(1 - pi), and pi.
     Inside g and J, pi is clipped to [_PROB_FLOOR, 1 - _PROB_FLOOR].
     """
-    b = X.shape[0]
-    eta = X @ beta
-    eta_max = float(np.max(np.abs(eta)))
+    b = columns.shape[1]
+    eta = _linear_predictor(columns, beta)
+    eta_max = float(np.abs(eta).max())
     scores = expit(eta, out=eta)
-    pi = np.clip(scores, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    g = (X.T @ (w / pi - (1.0 - w) / (1.0 - pi))) / b
+    pi = scores.clip(_PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    g = _design_dot(columns, w / pi - (1.0 - w) / (1.0 - pi)) / b
 
     def jacobian():
         d = w * (1.0 - pi) / pi + (1.0 - w) * pi / (1.0 - pi)
-        return -(X.T @ (X * d[:, None])) / b
+        return -_design_gram(columns, d) / b
 
-    return 0.5 * float(g @ g), eta_max, g, jacobian, scores
+    return 0.5 * float(np.einsum("j,j->", g, g)), eta_max, g, jacobian, scores
 
 
 def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit:
@@ -264,9 +305,9 @@ def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit:
     halved until that merit passes an Armijo test.  Convergence requires
     ||g||_inf < ``config.CBPS_TOL`` within ``config.CBPS_MAX_ITER`` steps.
     """
-    X, w = _check_fit_inputs(x, w)
+    columns, w = _check_fit_inputs(x, w)
     return _newton(
-        "cbps", lambda beta: _balance_conditions(X, w, beta), _irls(X, w).coefficients,
+        "cbps", lambda beta: _balance_conditions(columns, w, beta), _irls(columns, w).coefficients,
         # Armijo with c = 1e-4: along the Newton step the merit f has
         # slope -||g||^2 = -2f
         lambda new, old, scale: new <= old * (1.0 - 2e-4 * scale),
@@ -309,9 +350,13 @@ def normalized_weights(fit: PropensityFit, w: np.ndarray) -> ArmWeights:
         raise EstimationError("scores must lie strictly inside (0, 1) before weighting")
     require_both_arms(w)
     treated = w == 1
-    inv1 = 1.0 / scores[treated]
-    inv0 = 1.0 / (1.0 - scores[~treated])
-    return ArmWeights(w0=inv0 / inv0.sum(), w1=inv1 / inv1.sum())
+    w1 = np.divide(1.0, scores[treated])
+    w0 = scores[~treated]
+    np.subtract(1.0, w0, out=w0)
+    np.divide(1.0, w0, out=w0)
+    w1 /= w1.sum()
+    w0 /= w0.sum()
+    return ArmWeights(w0=w0, w1=w1)
 
 
 def load_external_scores(path, expected: int) -> PropensityFit:

@@ -222,6 +222,11 @@ class TestSubsetSize:
             subset_size(100, 1.5)
 
 
+def rows_table(n):
+    """A table of ``n`` rows, alternately control and treated."""
+    return ObservationTable(y=np.zeros(n), w=np.arange(n) % 2, x=np.zeros((n, 1)))
+
+
 class TestDrawSubset:
     def test_full_size_subset_is_whole_index_set(self, small_table):
         idx = draw_subset(small_table, small_table.n, cbrng.substream(5, 1, 0, 0))
@@ -255,6 +260,50 @@ class TestDrawSubset:
             for i in draw_subset(table, 2, stream):
                 counts[i] += 1
         assert (np.abs(counts - 2000) < 5 * 40).all()
+
+    @pytest.mark.parametrize("n, b", [(10, 2), (2000, 205), (2000, 2000), (10_000, 199),
+                                      (10_000, 3000)])
+    def test_one_block_matches_choice(self, n, b):
+        # up to 10,000 rows the subset is that of numpy's own draw, which
+        # permutes an arange beyond n/50 rows at larger n
+        idx = draw_subset(rows_table(n), b, cbrng.substream(5, 1, n, b))
+        expected = np.sort(cbrng.substream(5, 1, n, b).choice(n, b, replace=False))
+        assert np.array_equal(idx, expected)
+
+    @pytest.mark.parametrize("b", [2, 9_999, 25_000])
+    def test_blocks_give_distinct_sorted_rows(self, b):
+        idx = draw_subset(rows_table(25_000), b, cbrng.substream(5, 1, 3, 0))
+        assert idx.shape == (b,) and idx.dtype == np.int64
+        assert (np.diff(idx) > 0).all() and 0 <= idx[0] and idx[-1] < 25_000
+
+    def test_memory_is_of_the_subset_not_the_table(self, traced):
+        # numpy's choice over all 10**6 rows peaks at 8.6 MiB.  Beyond the
+        # 0.96 MiB int64 result, the blocks' Floyd draws hold about 33 KiB;
+        # a numpy that permuted each block of 10,000 rows instead, as it
+        # does above its Floyd cutoff, would hold about 85 KiB
+        table, stream = rows_table(1_000_000), cbrng.substream(5, 1, 4, 0)
+        idx, peak = traced(lambda: draw_subset(table, 125_893, stream))
+        assert len(np.unique(idx)) == 125_893
+        assert peak < 1.5 * 2**20
+        assert peak - idx.nbytes < 2**16
+
+    def test_row_inclusion_frequencies_are_binomial(self):
+        # n = 25,000 rows in blocks of 10,000, 10,000 and 5,000: each row is
+        # in a b = 6,000 draw with probability 0.24, so over 2,000 draws its
+        # frequency has SD sqrt(0.24 * 0.76 / 2000) = 0.00955 about 0.24
+        n, b, draws = 25_000, 6_000, 2_000
+        table = rows_table(n)
+        counts = np.zeros(n)
+        for k in range(draws):
+            counts[draw_subset(table, b, cbrng.substream(13, 1, k, 0))] += 1
+        freq, rate = counts / draws, b / n
+        expected_sd = np.sqrt(rate * (1 - rate) / draws)
+        # the SD of 25,000 row frequencies has a relative SE of about 0.45%
+        assert freq.std() == pytest.approx(expected_sd, rel=0.03)
+        assert np.abs(freq - rate).max() < 6 * expected_sd
+        # each block holds its share of the draws on average
+        for block in (freq[:10_000], freq[10_000:20_000], freq[20_000:]):
+            assert abs(block.mean() - rate) < 4 * expected_sd / np.sqrt(block.size)
 
     def test_out_of_range(self, small_table):
         with pytest.raises(ConfigError):

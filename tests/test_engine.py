@@ -485,25 +485,56 @@ print(hashlib.sha256(draws.tobytes()).hexdigest())
 """
 
 
-class TestBlasThreads:
-    def test_draws_do_not_depend_on_the_blas_thread_count(self):
-        """The same kernel run under one and two OpenBLAS threads.
+# Digests run_blb's payload at shapes where a multi-threaded BLAS splits
+# its work: the fits' products at p = 20 with arms of about 12,000 rows
+# (b = 24,450), and the weighted dots of hajek_ipw and smd_balance at
+# p = 2, b = 84,998.
+_HASH_PAYLOADS = """
+import hashlib, json
+from causalboot import BlbConfig, rng, run_blb
+from causalboot.cli import _estimate_payload, _json_safe
+from causalboot.simulation import generate_dgm
 
-        The pool size is fixed when numpy loads, so each run is its own
-        process.  On a single CPU, or with a numpy not built on OpenBLAS,
-        the variable changes nothing and the test passes trivially.
-        """
+def digest(table, **options):
+    result = run_blb(table, BlbConfig(subsets=2, replicates=20, seed=1, **options))
+    payload = json.dumps(_json_safe(_estimate_payload(result, 0)), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+wide = generate_dgm(30_000, rng.substream(5, rng.DOMAIN_DATASET, 1), 20)
+print(digest(wide, gamma=0.98, estimator="cbps"))
+print(digest(generate_dgm(300_000, rng.substream(5, rng.DOMAIN_DATASET, 0)), gamma=0.9))
+"""
+
+
+class TestBlasThreads:
+    """The same code run under one and under two OpenBLAS threads.
+
+    The pool size is fixed when numpy loads, so each run is its own
+    process.  On a single CPU, or with a numpy not built on OpenBLAS,
+    the variable changes nothing and the tests pass trivially.
+    """
+
+    @staticmethod
+    def outputs(script):
         src = Path(cb.__file__).resolve().parent.parent
         path = os.pathsep.join([str(src), str(Path(__file__).parent)])
-        digests = []
+        outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
             out = subprocess.run(
-                [sys.executable, "-c", _HASH_DRAWS], env=env, capture_output=True,
+                [sys.executable, "-c", script], env=env, capture_output=True,
                 text=True, check=True, timeout=120,
             )
-            digests.append(out.stdout.strip())
-        assert digests[0] == digests[1]
+            outputs.append(out.stdout)
+        return outputs
+
+    def test_draws_do_not_depend_on_the_blas_thread_count(self):
+        one, two = self.outputs(_HASH_DRAWS)
+        assert one == two
+
+    def test_payloads_do_not_depend_on_the_blas_thread_count(self):
+        one, two = self.outputs(_HASH_PAYLOADS)
+        assert one == two
 
 
 class TestIterSubsets:
@@ -676,13 +707,29 @@ class TestRunBlb:
 class TestSubsetStageMemory:
     def test_traced_peak_is_a_few_subset_vectors(self, traced):
         # n = 200,000 and gamma = 0.85 give b = 32,054.  The logistic fit
-        # sets the peak, at about 17 b-vectors of 8 bytes; one replicate
-        # block of 2**18 counts and their products would be 16 on its own
+        # sets the peak, at 9.2 b-vectors of 8 bytes: the subset's indices,
+        # its two covariate columns and about 6 vectors of the fit's own;
+        # ordering and resampling stay near 5.  The first run imports
+        # numpy.ma, which the peak should not count
         table = generate_dgm(200_000, cbrng.substream(11, cbrng.DOMAIN_DATASET, 0))
         cfg = cb.BlbConfig(gamma=0.85, subsets=2, replicates=20, seed=3)
+        run_blb(table, cfg)
         result, peak = traced(lambda: run_blb(table, cfg))
         assert result.b == 32_054
-        assert peak < 20 * 8 * result.b
+        assert peak < 10 * 8 * result.b
+
+    @pytest.mark.parametrize("p", [2, 10])
+    @pytest.mark.parametrize("fit_fn, vectors", [(fit_logistic_irls, 6), (fit_cbps, 9)])
+    def test_a_fit_holds_no_design(self, traced, fit_fn, vectors, p):
+        # on covariates in the layout fit_scores passes, a fit holds about
+        # 5 (IRLS) or 8 (balancing) b-vectors besides them, whatever p: a
+        # b x (p+1) design, or a weighted copy of it, would add p+1
+        b = 40_000
+        table = generate_dgm(b, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0), p)
+        x = table.x.T.copy().T
+        fit, peak = traced(lambda: fit_fn(x, table.w))
+        assert fit.converged
+        assert peak < vectors * 8 * b
 
     def test_finished_subsets_hold_only_their_draws(self, dgm_table):
         # the payload reads a subset's fit diagnostics, not its b scores

@@ -2,14 +2,12 @@
 direct fits digest to the lines of ``payload_digests.txt``.
 
 ``tools/payload_digests.py`` prints the digests.  The test runs it in a
-child process with OpenBLAS on one thread and numpy's dispatch held to
-its baseline by the file's ``NPY_DISABLE_CPU_FEATURES``, and compares
-its output line by line with the file.  A change that moves a payload
-on purpose regenerates the file in the same commit, from the root of
-the checkout:
+child process with numpy's dispatch held to its baseline by the file's
+``NPY_DISABLE_CPU_FEATURES``, and compares its output line by line with
+the file.  A change that moves a payload on purpose regenerates the file
+in the same commit, from the root of the checkout:
 
-    OPENBLAS_NUM_THREADS=1 NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \\
-        python tools/payload_digests.py
+    NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" python tools/payload_digests.py
 
 and keeps its ``# key = value`` header, which states what the digests
 depend on besides the code.
@@ -49,8 +47,7 @@ def test_payloads_match_the_golden_digests():
                for key, value in here.items() if header[key] != value]
     if differs:
         pytest.skip("the digests were made elsewhere: " + "; ".join(differs))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "NPY_DISABLE_CPU_FEATURES": header["NPY_DISABLE_CPU_FEATURES"]}
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": header["NPY_DISABLE_CPU_FEATURES"]}
     run = subprocess.run([sys.executable, "tools/payload_digests.py"], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr

@@ -15,16 +15,11 @@ b = 17,411 and p = 20: scores, coefficients, method, ``converged``,
 ``iterations`` and ``objective``, or the exception a fit raised.
 
 Two checkouts that print the same lines produce byte-identical payloads
-and fits.  OpenBLAS is held to one thread, so the fits' matrix products
-do not depend on the machine's core count.  ``tests/payload_digests.txt``
-holds the output with numpy's dispatch held to its baseline, and
-``tests/test_payload_digests.py`` compares a fresh run with it; its
-docstring gives the command that regenerates the file.
+and fits.  ``tests/payload_digests.txt`` holds the output with numpy's
+dispatch held to its baseline, and ``tests/test_payload_digests.py``
+compares a fresh run with it; its docstring gives the command that
+regenerates the file.
 """
-
-import os
-
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is first imported
 
 import contextlib
 import csv
