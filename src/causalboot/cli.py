@@ -28,7 +28,7 @@ from typing import Any, Callable, NamedTuple
 from . import __version__
 from .config import BlbConfig, CI_KINDS
 from .data import NA_POLICIES, load_csv
-from .engine import BlbEstimate, SubsetEstimate, run_blb
+from .engine import BlbEstimate, run_blb
 from .errors import CausalbootError, ConfigError, DataError, EstimationError
 from .simulation import TRUE_ATE, ZIP_COLUMNS, benchmark_timing, run_relerr_harness, run_replications
 
@@ -237,40 +237,17 @@ def _json_safe(value):
     return value
 
 
-def _subset_entry(est: SubsetEstimate) -> dict:
-    """One subset of ``payload.subsets``."""
-    return {
-        "id": est.subset_id,
-        "b0": est.b0,
-        "b1": est.b1,
-        "mean": est.mean,
-        "se": est.se,
-        "q_lower": est.q_lower,
-        "q_upper": est.q_upper,
-        "hajek": est.hajek,
-        "asym_lower": est.asym_lower,
-        "asym_upper": est.asym_upper,
-        "redraws": est.redraws,
-        "fit": dataclasses.asdict(est.fit),
-        "balance": dataclasses.asdict(est.balance),
-    }
-
-
 def _estimate_payload(result: BlbEstimate, dropped_rows: int) -> dict:
-    return {
-        "tau_hat": result.tau_hat,
-        "se": result.se,
-        "hajek": result.hajek,
-        "ci": dataclasses.asdict(result.ci),
-        "ci_percentile": dataclasses.asdict(result.ci_percentile),
-        "ci_asymptotic": dataclasses.asdict(result.ci_asymptotic),
-        "n": result.n,
-        "n0": result.n0,
-        "n1": result.n1,
-        "subset_size": result.b,
-        "subsets": [_subset_entry(est) for est in result.subsets],
-        "diagnostics": {**result.diagnostics, "dropped_rows": dropped_rows},
-    }
+    """``result``'s fields, with ``b`` written as ``subset_size``, each
+    subset's ``subset_id`` as ``id`` and its draws left out (they go to
+    ``draws.csv``), and ``dropped_rows`` added to the diagnostics."""
+    payload = dataclasses.asdict(result)
+    payload["subset_size"] = payload.pop("b")
+    for entry in payload["subsets"]:
+        entry["id"] = entry.pop("subset_id")
+        del entry["draws"]
+    payload["diagnostics"]["dropped_rows"] = dropped_rows
+    return payload
 
 
 def _utcnow() -> str:
@@ -377,19 +354,10 @@ def cmd_simulate(opts: argparse.Namespace, started: str) -> int:
     out_dir = Path(opts.output)
 
     summary = run_replications(opts.replications, opts.n, config)
-    payload = {
-        "replications": summary.replications,
-        "n": opts.n,
-        "tau": TRUE_ATE,
-        "mean_tau_hat": summary.bias + TRUE_ATE,
-        "bias": summary.bias,
-        "mcse_mean": summary.mcse_mean,
-        "mean_se": summary.mean_se,
-        "coverage": summary.coverage,
-        "coverage_mcse": summary.coverage_mcse,
-        "coverage_percentile": summary.coverage_percentile,
-        "coverage_asymptotic": summary.coverage_asymptotic,
-    }
+    # the records go to zipplot.csv and the quartiles to the timing
+    payload = dataclasses.asdict(summary)
+    del payload["records"], payload["timing_quartiles"]
+    payload.update(n=opts.n, tau=TRUE_ATE, mean_tau_hat=summary.bias + TRUE_ATE)
     _write_result(out_dir / "summary.json", "simulate", started, payload, opts,
                   {"per_replication_quartiles": list(summary.timing_quartiles)})
     _write_csv(out_dir / "zipplot.csv", list(ZIP_COLUMNS), summary.zip_rows())

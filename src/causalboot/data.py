@@ -74,6 +74,8 @@ class ObservationTable:
         )
         if len(names) != x.shape[1]:
             raise DataError("covariate_names length does not match x columns")
+        if len(set(names)) != len(names):  # the balance report keys SMDs by name
+            raise DataError(f"covariate_names repeat a name: {names}")
         for arr in (y, w, x):
             arr.flags.writeable = False
         object.__setattr__(self, "y", y)
@@ -308,9 +310,11 @@ def load_csv(
     Rows with missing or unparseable cells in the used columns are
     rejected (default) or dropped and counted, per ``na_policy``.  A
     treatment value other than 0 or 1 is always an error: it indicates a
-    miscoded column, not missingness.  A leading byte-order mark is
-    skipped.  One scan of the bytes counts the line endings, which bounds
-    the rows, and the table's columns are allocated once at that size.
+    miscoded column, not missingness.  A column named in two roles is a
+    ``ConfigError``, raised before the file is opened.  A leading
+    byte-order mark is skipped.  One scan of the bytes counts the line
+    endings, which bounds the rows, and the table's columns are
+    allocated once at that size.
     The used columns are then parsed in blocks of lines, each in one
     vectorized pass, and written into the columns; a block that pass
     declines is parsed again row by row, which alone applies the NA
@@ -321,6 +325,10 @@ def load_csv(
     if not covariate_cols:
         raise ConfigError("at least one covariate column is required")
     used = [outcome_col, treatment_col, *covariate_cols]
+    repeated = [c for i, c in enumerate(used) if c in used[:i]]
+    if repeated:
+        raise ConfigError(f"column {repeated[0]!r} is used twice; the outcome, the "
+                          "treatment and each covariate must be distinct columns")
     check("path", path, PATH)  # open() would read an int as a file descriptor
 
     try:

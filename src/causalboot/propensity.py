@@ -107,8 +107,10 @@ def require_both_arms(w: np.ndarray) -> int:
 def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The covariates as one contiguous p x b array of columns and ``w``
     as floats, once the rows match, both arms are present, rows
-    outnumber parameters and no column of ``x`` has a standard deviation
-    of 0.
+    outnumber parameters and no column of ``x`` is constant: every value
+    equal, or a standard deviation of 0, as at 1e-300, where the spread
+    underflows.  The SD alone misses a column of 0.1 at b=100, whose mean
+    rounds away from 0.1.
 
     The fits handle the intercept apart from these columns, so they hold
     no b x (p+1) design.  A b x p ``x`` that is the transpose of
@@ -126,7 +128,8 @@ def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise EstimationError(f"need more rows than parameters: b={b}, p={p}")
     columns = np.ascontiguousarray(x.T)
     with np.errstate(all="ignore"):  # the SD of huge covariates overflows to inf
-        constant = [j for j, column in enumerate(columns) if column.std() == 0.0]
+        constant = [j for j, column in enumerate(columns)
+                    if column.max() == column.min() or column.std() == 0.0]
     if constant:
         raise EstimationError(
             f"covariate column {constant[0]} is constant; drop it (intercept is implicit)"

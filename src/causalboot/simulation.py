@@ -3,9 +3,9 @@ replications, relative-error trajectories, and timing benchmarks.
 
 All studies run the engine's own code: replications and timing runs call
 ``run_blb``, the relative-error study folds ``iter_subsets`` subset by
-subset, and the fit-only timing grid calls ``engine.fit_scores``, the
-engine's one fit dispatcher.  Replications take their seed and pool size
-from the ``BlbConfig`` they run.
+subset, and the relative-error oracle and the fit-only timing grid call
+``engine.fit_scores``, the engine's one fit dispatcher.  Replications
+take their seed and pool size from the ``BlbConfig`` they run.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import numpy as np
 from . import rng
 from .config import BlbConfig
 from .data import ObservationTable
-from .engine import fit_scores, iter_subsets, ordered_map, run_blb
+from .engine import fit_scores, iter_subsets, order_subset, ordered_map, run_blb
 from .errors import ConfigError, EstimationError
 from .inference import hajek_ipw, percentile_ci
-from .propensity import expit, fit_logistic_irls, normalized_weights, truncate_scores
+from .propensity import expit, truncate_scores
 
 TRUE_ATE = 2.0
 ZIP_COLUMNS = ("replication", "tau_hat", "se", "lower", "upper", "covered", "centile_rank")
@@ -204,17 +204,19 @@ def oracle_interval(n: int, oracle_reps: int, seed: int) -> tuple[float, float]:
     Quantiles of the Hajek estimate (logistic scores, truncated) over
     ``oracle_reps`` fresh datasets, at ``BlbConfig``'s default level and
     truncation bounds, the ones the relative-error study runs BLB at.
+    Each dataset goes whole through the engine's fit dispatcher and
+    ``order_subset``, as a subset of all its rows.
     """
     if oracle_reps < 100:
         raise ConfigError(f"oracle_reps must be at least 100, got {oracle_reps}")
     defaults = BlbConfig()
+    rows = np.arange(n)
     estimates = np.empty(oracle_reps)
     for t in range(oracle_reps):
         table = generate_dgm(n, rng.substream(seed, rng.DOMAIN_ORACLE, t))
-        fit = fit_logistic_irls(table.x, table.w)
-        fit = truncate_scores(fit, *defaults.truncation)
-        weights = normalized_weights(fit, table.w)
-        estimates[t] = hajek_ipw(table.y[table.w == 0], table.y[table.w == 1], weights)
+        fit = truncate_scores(fit_scores(table, rows, defaults, None), *defaults.truncation)
+        arms = order_subset(table, rows, fit)
+        estimates[t] = hajek_ipw(arms.y0, arms.y1, arms.weights)
     ci = percentile_ci(estimates, defaults.alpha)
     return (ci.lower, ci.upper)
 

@@ -131,6 +131,15 @@ class TestAnalyze:
             e["balance"]["max_abs_smd"] for e in payload["subsets"]
         )
 
+    @pytest.mark.parametrize("covariates, column", [("x1,x1", "x1"), ("w,x1", "w"),
+                                                    ("x1,y", "y")])
+    def test_column_in_two_roles_exits_2_naming_it(self, dgm_csv, tmp_path, capsys,
+                                                   covariates, column):
+        code = main(analyze_args(dgm_csv, tmp_path, **{"--covariates": covariates}))
+        assert code == 2
+        assert f"column '{column}' is used twice" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
     def test_gamma_and_subset_size_conflict(self, dgm_csv, tmp_path, capsys):
         code = main(analyze_args(dgm_csv, tmp_path, **{"--subset-size": "300"}))
         assert code == 2

@@ -42,6 +42,12 @@ class TestObservationTable:
         with pytest.raises(DataError, match="length mismatch"):
             ObservationTable(y=np.zeros(3), w=np.zeros(2, dtype=int), x=np.zeros((3, 1)))
 
+    def test_repeated_covariate_name_is_refused(self):
+        # the balance report keys its SMDs by name, so a repeat would hide one
+        with pytest.raises(DataError, match="repeat a name"):
+            ObservationTable(y=np.zeros(3), w=np.array([0, 1, 0]), x=np.zeros((3, 2)),
+                             covariate_names=("x1", "x1"))
+
     def test_non_binary_treatment(self):
         with pytest.raises(DataError, match="non-binary"):
             ObservationTable(y=np.zeros(3), w=np.array([0, 1, 2]), x=np.zeros((3, 1)))
@@ -179,6 +185,18 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path / "nope.csv", "y", "w", ["x1"])
+
+    @pytest.mark.parametrize("outcome, treatment, covariates, column", [
+        ("w", "w", ["x1"], "w"),
+        ("y", "w", ["x1", "x1"], "x1"),
+        ("y", "w", ["w", "x1"], "w"),
+        ("y", "w", ["x1", "y"], "y"),
+    ])
+    def test_column_in_two_roles_is_refused_before_opening(self, tmp_path, outcome, treatment,
+                                                           covariates, column):
+        # the file does not exist: the refusal comes before it is opened
+        with pytest.raises(ConfigError, match=f"column '{column}' is used twice"):
+            load_csv(tmp_path / "nope.csv", outcome, treatment, covariates)
 
 
 class TestSubsetSize:

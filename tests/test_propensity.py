@@ -126,6 +126,18 @@ class TestLogisticIrls:
         with pytest.raises(EstimationError, match="constant"):
             fit_logistic_irls(x, w)
 
+    @pytest.mark.parametrize("fit", [fit_logistic_irls, fit_cbps])
+    @pytest.mark.parametrize("value, b", [(0.1, 100), (0.1, 1000), (1 / 3, 1000), (0.3, 1000)])
+    def test_exactly_constant_column_rejected_whatever_its_sd(self, fit, value, b):
+        # these columns' means round away from their value, so their SD is
+        # not 0: an SD test alone lets a fit split the intercept across them
+        gen = np.random.default_rng(5)
+        x = np.column_stack([gen.standard_normal(b), np.full(b, value)])
+        w = np.tile([0, 1], b // 2)
+        assert x[:, 1].std() > 0.0
+        with pytest.raises(EstimationError, match="covariate column 1 is constant"):
+            fit(x, w)
+
 
 class TestCbps:
     def test_binary_covariate_balances_exactly(self):
