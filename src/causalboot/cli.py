@@ -13,10 +13,10 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
-import hashlib
 import json
 import math
 import os
@@ -92,7 +92,7 @@ def _show(value) -> str:
     return str(value)
 
 
-_OUTPUT = Option("output", str, ".", "output directory")
+_OUTPUT = Option("output", Path, Path("."), "output directory")
 _REPLICATES = Option("replicates", int, _RUN.replicates, "bootstrap replicates r per subset")
 _SEED = Option("seed", int, _RUN.seed, "root seed")
 
@@ -180,7 +180,7 @@ def _add_options(sub: argparse.ArgumentParser, table: tuple[Option, ...]) -> Non
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
+    try:  # open() refuses a NUL byte with a ValueError
         with open(path, encoding="utf-8") as handle:
             for i, raw in enumerate(handle, start=1):
                 line = raw.strip()
@@ -190,7 +190,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{i}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -254,24 +254,38 @@ def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            h.update(chunk)
-    return f"sha256:{h.hexdigest()}"
+def _digest(table) -> str:
+    """The manifest's ``input_digest``: the sha256 ``load_csv`` took of the
+    bytes it scanned."""
+    return f"sha256:{table.digest}"
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """A text handle on a hidden file beside ``path``, which replaces
+    ``path`` once written whole, so no one reads part of a result file.
+    An ``OSError`` is a ``ConfigError`` that names ``path``, and the hidden
+    file is removed."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        try:
+            with open(temp, "w", newline=newline, encoding="utf-8") as handle:
+                yield handle
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)  # already gone once replaced
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, document: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -323,7 +337,6 @@ def _build_config(opts: argparse.Namespace) -> BlbConfig:
 
 def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
     config = _build_config(opts)
-    out_dir = Path(opts.output)
 
     t0 = time.perf_counter()
     table = load_csv(opts.input, opts.outcome, opts.treatment, opts.covariates,
@@ -332,16 +345,16 @@ def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
     result = run_blb(table, config)
     timing = {"load_seconds": t1 - t0, "total_seconds": time.perf_counter() - t1}
 
-    _write_result(out_dir / "result.json", "analyze", started,
-                  _estimate_payload(result, table.dropped_rows), opts, timing,
-                  input_digest=_digest(opts.input))
     if opts.emit_draws:
         rows = [
             [est.subset_id, j, float(d)]
             for est in result.subsets
             for j, d in enumerate(est.draws)
         ]
-        _write_csv(out_dir / "draws.csv", ["subset", "replicate", "estimate"], rows)
+        _write_csv(opts.output / "draws.csv", ["subset", "replicate", "estimate"], rows)
+    _write_result(opts.output / "result.json", "analyze", started,
+                  _estimate_payload(result, table.dropped_rows), opts, timing,
+                  input_digest=_digest(table))
     print(
         f"tau_hat={result.tau_hat:.6g} se={result.se:.6g} "
         f"ci=({result.ci.lower:.6g}, {result.ci.upper:.6g}) [{result.ci.kind}]"
@@ -351,16 +364,15 @@ def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
 
 def cmd_simulate(opts: argparse.Namespace, started: str) -> int:
     config = _build_config(opts)
-    out_dir = Path(opts.output)
 
     summary = run_replications(opts.replications, opts.n, config)
     # the records go to zipplot.csv and the quartiles to the timing
     payload = dataclasses.asdict(summary)
     del payload["records"], payload["timing_quartiles"]
     payload.update(n=opts.n, tau=TRUE_ATE, mean_tau_hat=summary.bias + TRUE_ATE)
-    _write_result(out_dir / "summary.json", "simulate", started, payload, opts,
+    _write_csv(opts.output / "zipplot.csv", list(ZIP_COLUMNS), summary.zip_rows())
+    _write_result(opts.output / "summary.json", "simulate", started, payload, opts,
                   {"per_replication_quartiles": list(summary.timing_quartiles)})
-    _write_csv(out_dir / "zipplot.csv", list(ZIP_COLUMNS), summary.zip_rows())
     print(
         f"bias={summary.bias:.6g} (mcse {summary.mcse_mean:.3g}) "
         f"coverage={summary.coverage:.3f} (mcse {summary.coverage_mcse:.3f})"
@@ -377,15 +389,14 @@ def cmd_relerr(opts: argparse.Namespace, started: str) -> int:
     for traj in trajectories:
         for s, secs, err in zip(traj.subset_counts, traj.cum_seconds, traj.err):
             rows.append([traj.gamma, s, secs, err])
-    out_dir = Path(opts.output)
-    _write_csv(out_dir / "relerr.csv", ["gamma", "subsets", "cum_seconds", "err"], rows)
+    _write_csv(opts.output / "relerr.csv", ["gamma", "subsets", "cum_seconds", "err"], rows)
     payload = {
         "oracle_ci": list(trajectories[0].oracle_ci) if trajectories else None,
         "n": opts.n,
         "gammas": opts.gammas,
         "terminal_err": {str(t.gamma): t.err[-1] for t in trajectories},
     }
-    _write_result(out_dir / "relerr_summary.json", "relerr", started, payload, opts,
+    _write_result(opts.output / "relerr_summary.json", "relerr", started, payload, opts,
                   {"per_gamma_total_seconds": {str(t.gamma): t.cum_seconds[-1]
                                                for t in trajectories}})
     for t in trajectories:
@@ -407,13 +418,12 @@ def cmd_benchmark(opts: argparse.Namespace, started: str) -> int:
         for cell in cells
         for rep, sec in enumerate(cell.seconds)
     ]
-    out_dir = Path(opts.output)
-    _write_csv(out_dir / "timings.csv", ["n", "p", "method", "s", "rep", "seconds"], rows)
+    _write_csv(opts.output / "timings.csv", ["n", "p", "method", "s", "rep", "seconds"], rows)
     med_rows = [
         [cell.n, cell.p, cell.method, cell.s, cell.median_seconds] for cell in cells
     ]
-    _write_csv(out_dir / "medians.csv", ["n", "p", "method", "s", "median_seconds"], med_rows)
-    _write_result(out_dir / "benchmark_summary.json", "benchmark", started,
+    _write_csv(opts.output / "medians.csv", ["n", "p", "method", "s", "median_seconds"], med_rows)
+    _write_result(opts.output / "benchmark_summary.json", "benchmark", started,
                   {"cells": len(cells)}, opts, {})
     for cell in cells:
         print(f"n={cell.n} p={cell.p} {cell.method} s={cell.s}: "
@@ -425,11 +435,16 @@ def cmd_benchmark(opts: argparse.Namespace, started: str) -> int:
 # Entry point
 # ---------------------------------------------------------------------
 
+# name: (function, help, the files it may write in the output directory)
 _COMMANDS = {
-    "analyze": (cmd_analyze, "estimate an effect from a CSV file"),
-    "simulate": (cmd_simulate, "bias/coverage replication study"),
-    "relerr": (cmd_relerr, "relative-error trajectories"),
-    "benchmark": (cmd_benchmark, "timing benchmarks"),
+    "analyze": (cmd_analyze, "estimate an effect from a CSV file",
+                ("draws.csv", "result.json")),
+    "simulate": (cmd_simulate, "bias/coverage replication study",
+                 ("zipplot.csv", "summary.json")),
+    "relerr": (cmd_relerr, "relative-error trajectories",
+               ("relerr.csv", "relerr_summary.json")),
+    "benchmark": (cmd_benchmark, "timing benchmarks",
+                  ("timings.csv", "medians.csv", "benchmark_summary.json")),
 }
 
 
@@ -440,18 +455,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=text)
-        _add_options(sub, OPTIONS[name])
-        sub.set_defaults(func=func)
+    for name, (_, text, _) in _COMMANDS.items():
+        _add_options(commands.add_parser(name, help=text), OPTIONS[name])
     return parser
+
+
+def _make_output(out: Path, names: tuple[str, ...]) -> None:
+    """Make the output directory, and refuse it if any of ``names`` is a
+    directory there, before the command does any work."""
+    try:  # mkdir refuses a NUL byte with a ValueError
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+    for name in names:
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write {out / name}: it is a directory")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = _utcnow()
+    command, _, names = _COMMANDS[args.command]
     try:
-        return args.func(_options(args), started)
+        opts = _options(args)
+        _make_output(opts.output, names)
+        return command(opts, started)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,7 +31,10 @@ _REAL = ("a real number", lambda v: isinstance(v, Real) and not isinstance(v, bo
          and (isinstance(v, Integral) or math.isfinite(v)))
 _BOOL = ("a bool", lambda v: isinstance(v, (bool, np.bool_)))
 _STRING = ("a string", lambda v: isinstance(v, str))
+# A path passes both rules: open() reads an int as a file descriptor, and
+# refuses a NUL byte with a raw ValueError.
 PATH = ("a str or os.PathLike", lambda v: isinstance(v, (str, os.PathLike)))
+NUL_FREE = ("free of NUL bytes", lambda v: "\0" not in os.fsdecode(v))
 _PAIR = ("a tuple of two reals",
          lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_REAL[1], v)))
 
@@ -43,9 +46,9 @@ def check(name: str, value, *rules) -> None:
             raise ConfigError(f"{name} must be {requirement}, got {value!r}")
 
 
-def _setting(default, kind, admits=("", lambda v: True), optional=False):
-    """A field with its rule; an ``optional`` field also takes None."""
-    return field(default=default, metadata={"rules": (kind, admits), "optional": optional})
+def _setting(default, kind, *admits, optional=False):
+    """A field with its rules; an ``optional`` field also takes None."""
+    return field(default=default, metadata={"rules": (kind, *admits), "optional": optional})
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class BlbConfig:
     estimator: str = _setting("logistic", _STRING,
                               (f"one of {ESTIMATORS}", ESTIMATORS.__contains__))
     external_scores: str | os.PathLike | None = _setting(
-        None, PATH, ("a nonempty path", lambda v: v != ""), optional=True)
+        None, PATH, ("a nonempty path", lambda v: v != ""), NUL_FREE, optional=True)
     max_redraws: int = _setting(10, _INTEGER, ("at least 0", lambda v: v >= 0))
     weight_cap: float = _setting(0.1, _REAL, ("positive", lambda v: v > 0))
     balance_threshold: float = _setting(0.1, _REAL, ("positive", lambda v: v > 0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
 import warnings
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PATH, check
+from .config import NUL_FREE, PATH, check
 from .errors import ConfigError, DataError
 
 # Cell contents treated as missing (case-insensitive, after stripping).
@@ -38,6 +39,8 @@ class ObservationTable:
     matrix (float64), so a table costs 8(p+1)+1 bytes a row.  The number
     of treated rows is counted once, at validation.  Row order is load
     order and all downstream determinism is defined relative to it.
+    A table ``load_csv`` built keeps ``digest``, the hex sha256 of the
+    file's bytes; any other table has None there.
     Arrays are frozen after validation so tables can be shared across
     worker threads.
     """
@@ -47,6 +50,7 @@ class ObservationTable:
     x: np.ndarray
     covariate_names: tuple[str, ...] = ()
     dropped_rows: int = 0
+    digest: str | None = None
     _n1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -240,8 +244,9 @@ def _parse_rows(lines, stop: int, used: list[str], cols: list[int],
     return data, i - first_row, dropped
 
 
-def _line_capacity(raw) -> int:
-    r"""The line endings of a binary file, an upper bound on its data rows.
+def _line_capacity(raw) -> tuple[int, str]:
+    r"""The line endings of a binary file, an upper bound on its data
+    rows, and the hex sha256 of its bytes, from one read.
 
     Each ``\n``, ``\r\n`` and lone ``\r`` counts once, the endings the
     text reader splits lines on.  A record takes at least one line and
@@ -250,7 +255,9 @@ def _line_capacity(raw) -> int:
     """
     endings = 0
     after_cr = False
+    sha = hashlib.sha256()
     while chunk := raw.read(_BLOCK_CHARS):
+        sha.update(chunk)
         # numpy compares bytes several times faster than bytes.count
         endings += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
         if b"\r" in chunk:  # each lone \r; a \r\n has counted as its \n
@@ -258,7 +265,7 @@ def _line_capacity(raw) -> int:
         if after_cr and chunk.startswith(b"\n"):  # a \r\n split by the chunking
             endings -= 1
         after_cr = chunk.endswith(b"\r")
-    return endings
+    return endings, sha.hexdigest()
 
 
 def _parse(handle, header: list[str], used: list[str], na_policy: str, capacity: int):
@@ -272,6 +279,7 @@ def _parse(handle, header: list[str], used: list[str], na_policy: str, capacity:
     block's last line when a quoted field spans it, so every block starts
     at a record boundary.  Either way the block's rows are written into
     the columns at once, so besides them one block is alive at a time.
+    More rows than ``capacity`` mean the file grew after it was scanned.
     """
     last = {name: j for j, name in enumerate(header)}  # as DictReader keys
     cols = [last[c] for c in used]
@@ -290,6 +298,9 @@ def _parse(handle, header: list[str], used: list[str], na_policy: str, capacity:
         else:
             records += data.shape[0]
         end = kept + data.shape[0]
+        if end > capacity:
+            raise DataError(f"{handle.name} changed while it was read: it holds more rows "
+                            f"than the {capacity} line endings its scan counted")
         y[kept:end] = data[:, 0]
         w[kept:end] = data[:, 1]
         x[kept:end] = data[:, 2:]
@@ -313,8 +324,9 @@ def load_csv(
     miscoded column, not missingness.  A column named in two roles is a
     ``ConfigError``, raised before the file is opened.  A leading
     byte-order mark is skipped.  One scan of the bytes counts the line
-    endings, which bounds the rows, and the table's columns are
-    allocated once at that size.
+    endings, which bounds the rows, and hashes them into the table's
+    ``digest``; the table's columns are allocated once at that bound, and
+    a file that outgrows it before the parse is a ``DataError``.
     The used columns are then parsed in blocks of lines, each in one
     vectorized pass, and written into the columns; a block that pass
     declines is parsed again row by row, which alone applies the NA
@@ -329,7 +341,7 @@ def load_csv(
     if repeated:
         raise ConfigError(f"column {repeated[0]!r} is used twice; the outcome, the "
                           "treatment and each covariate must be distinct columns")
-    check("path", path, PATH)  # open() would read an int as a file descriptor
+    check("path", path, PATH, NUL_FREE)
 
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -337,7 +349,7 @@ def load_csv(
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         with handle:
-            capacity = _line_capacity(handle.buffer)
+            capacity, digest = _line_capacity(handle.buffer)
             handle.seek(0)
             header = next(csv.reader(handle), [])
             missing = [c for c in used if c not in header]
@@ -353,6 +365,7 @@ def load_csv(
         raise DataError(f"no usable rows in {path} (dropped {dropped})")
     return ObservationTable(
         y=y, w=w, x=x, covariate_names=tuple(covariate_cols), dropped_rows=dropped,
+        digest=digest,
     )
 
 

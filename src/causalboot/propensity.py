@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CBPS_MAX_ITER, CBPS_TOL, IRLS_MAX_ITER, IRLS_TOL, PATH, check
+from .config import CBPS_MAX_ITER, CBPS_TOL, IRLS_MAX_ITER, IRLS_TOL, NUL_FREE, PATH, check
 from .errors import DataError, DegenerateSubsetError, EstimationError, SeparationError
 
 # Linear-predictor max-norm max|X beta| beyond which a logistic fit is
@@ -369,7 +369,7 @@ def load_external_scores(path, expected: int) -> PropensityFit:
     and hold exactly ``expected`` values, each strictly inside (0, 1),
     aligned with the rows they score.
     """
-    check("path", path, PATH)  # open() would read an int as a file descriptor
+    check("path", path, PATH, NUL_FREE)
     try:
         with open(path, encoding="utf-8-sig") as handle:
             lines = [ln.strip() for ln in handle]

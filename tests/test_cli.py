@@ -1,4 +1,6 @@
+import builtins
 import csv
+import hashlib
 import json
 import math
 import os
@@ -328,13 +330,74 @@ class TestBenchmark:
 ], ids=["simulate", "relerr", "benchmark", "analyze"])
 def test_every_command_writes_one_document_shape(argv, name, dgm_csv, tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
-    argv = analyze_args(dgm_csv, tmp_path) if argv is None else argv + ["--output", str(tmp_path)]
+    argv = (analyze_args(dgm_csv, tmp_path) + ["--emit-draws"] if argv is None
+            else argv + ["--output", str(tmp_path)])
     assert main(argv) == 0
+    # the files main refuses a directory in place of, before the run
+    assert sorted(os.listdir(tmp_path)) == sorted(cli._COMMANDS[argv[0]][2])
     document = json.loads((tmp_path / name).read_text())
     assert set(document) == {"payload", "manifest", "timing"}
     schema = json.loads((DOCS / "result_schema.json").read_text())
     jsonschema.validate(document["manifest"], schema["properties"]["manifest"])
     assert document["manifest"]["command"] == argv[0]
+
+
+class TestFiles:
+    def test_analyze_opens_its_input_once(self, dgm_csv, tmp_path, monkeypatch):
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(dgm_csv):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(analyze_args(dgm_csv, tmp_path)) == 0
+        assert len(opened) == 1
+
+    def test_input_digest_is_the_sha256_of_the_file(self, dgm_csv, tmp_path):
+        path = tmp_path / "marked.csv"  # a byte-order mark and \r\n endings
+        path.write_bytes(b"\xef\xbb\xbf" + dgm_csv.read_bytes())
+        assert b"\r\n" in path.read_bytes()
+        assert main(analyze_args(path, tmp_path)) == 0
+        manifest = json.loads((tmp_path / "result.json").read_text())["manifest"]
+        assert manifest["input_digest"] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_a_failed_write_leaves_the_old_result_whole(self, dgm_csv, tmp_path, monkeypatch,
+                                                        capsys):
+        (tmp_path / "result.json").write_text("the last run's result\n", encoding="utf-8")
+
+        def full_disk(document, handle, **kwargs):
+            handle.write('{"payload": ')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", full_disk)
+        capsys.readouterr()
+        assert main(analyze_args(dgm_csv, tmp_path)) == 2
+        assert capsys.readouterr().err == (f"configuration error: cannot write "
+                                           f"{tmp_path / 'result.json'}: [Errno 28] No space "
+                                           "left on device\n")
+        assert (tmp_path / "result.json").read_text() == "the last run's result\n"
+        assert os.listdir(tmp_path) == ["result.json"]  # no temporary file left
+
+    def test_simulate_writes_no_summary_without_its_csv(self, tmp_path, monkeypatch, capsys):
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def writerow(self, row):
+                self.handle.write("partial")
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.csv, "writer", FullDisk)
+        argv = ["simulate", "--n", "400", "--replications", "10", "--subsets", "2",
+                "--replicates", "20", "--output", str(tmp_path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {tmp_path / 'zipplot.csv'}: ")
+        assert os.listdir(tmp_path) == []
 
 
 def run_with_config(argv, tmp_path, lines):

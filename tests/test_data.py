@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -492,11 +494,52 @@ class TestLineCapacity:
            block_chars=st.integers(1, 8))
     def test_counts_each_line_ending_once(self, text, block_chars):
         # the endings of the lines the text reader splits, whatever the
-        # chunk boundaries, so a \r\n split by them counts once
+        # chunk boundaries, so a \r\n split by them counts once; and the
+        # hash of every byte
         lines = io.TextIOWrapper(io.BytesIO(text.encode()), newline="").readlines()
         endings = sum(line.endswith(("\n", "\r")) for line in lines)
         with mock.patch.object(cbdata, "_BLOCK_CHARS", block_chars):
-            assert cbdata._line_capacity(io.BytesIO(text.encode())) == endings
+            assert cbdata._line_capacity(io.BytesIO(text.encode())) == (
+                endings, hashlib.sha256(text.encode()).hexdigest())
+
+
+def scan_short_by(rows):
+    """``_line_capacity`` counting ``rows`` endings fewer than the file has,
+    as if the file grew by that many lines after its scan."""
+    scan = cbdata._line_capacity
+
+    def short(raw):
+        endings, digest = scan(raw)
+        return endings - rows, digest
+
+    return mock.patch.object(cbdata, "_line_capacity", short)
+
+
+class TestGrowingFile:
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_more_rows_than_the_scan_counted_is_a_data_error(self, tmp_path, fast):
+        path = export_dgm_csv(tmp_path / "grows.csv", n=3000)
+        with scan_short_by(5), contextlib.ExitStack() as stack:
+            if not fast:
+                stack.enter_context(mock.patch.object(cbdata, "_parse_fast", lambda *args: None))
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))} changed while it "
+                                                "was read: it holds more rows than the 2996 line endings"):
+                load_csv(path, *USED)
+
+    def test_analyze_exits_3(self, tmp_path, capsys):
+        path = export_dgm_csv(tmp_path / "grows.csv", n=3000)
+        capsys.readouterr()
+        with scan_short_by(5):
+            assert main(analyze_args(path, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path} changed while it was read")
+        assert err.count("\n") == 1
+
+    def test_the_scan_bounds_the_rows_exactly(self, tmp_path):
+        # the header's ending is the one to spare: one fewer still loads
+        path = export_dgm_csv(tmp_path / "exact.csv", n=3000)
+        with scan_short_by(1):
+            assert load_csv(path, *USED).n == 3000
 
 
 class TestBuildMemory:
@@ -641,9 +684,13 @@ class TestExternalScoresNonFinite:
         assert "non-finite score 'nan' at line 701" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("load", [lambda path: load_csv(path, "y", "w", ["x1"]),
-                                  lambda path: load_external_scores(path, 2)],
-                         ids=["load_csv", "load_external_scores"])
+LOADERS = pytest.mark.parametrize(
+    "load", [lambda path: load_csv(path, "y", "w", ["x1"]),
+             lambda path: load_external_scores(path, 2)],
+    ids=["load_csv", "load_external_scores"])
+
+
+@LOADERS
 def test_loaders_refuse_a_file_descriptor(load):
     # open() would read an integer as a descriptor, and close it
     read, write = os.pipe()
@@ -655,3 +702,11 @@ def test_loaders_refuse_a_file_descriptor(load):
         assert os.read(read, 64) == b"0.5\n0.5\n"  # still open, nothing read
     finally:
         os.close(read)
+
+
+@LOADERS
+@pytest.mark.parametrize("kind", [str, Path])
+def test_loaders_refuse_a_nul_byte(load, kind, tmp_path):
+    # open() would raise a raw ValueError
+    with pytest.raises(ConfigError, match=r"^path must be free of NUL bytes, got "):
+        load(kind(tmp_path / "in\0.csv"))

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import causalboot as cb
 from causalboot import rng as cbrng
+from causalboot import cli
 from causalboot.cli import OPTIONS, main
 from causalboot.errors import CausalbootError
 
@@ -283,7 +284,7 @@ HOSTILE_VALUES = [
     np.int8(-3), np.int16(3), np.int32(7), np.int64(5), np.uint8(0), np.uint16(2),
     np.uint32(9), np.uint64(2**63), np.float16(0.5), np.float32(0.25), np.float64(-0.5),
     np.longdouble(0.2), "0.5", "", "logistic", None, (), (0.1,), (0.05, 0.5, 0.95),
-    (math.nan, 0.9), (0.0, 1.0), 2**70, -(2**70), 10**400,
+    (math.nan, 0.9), (0.0, 1.0), 2**70, -(2**70), 10**400, "scores\0.txt",
 ]
 # The fields that count loops or threads: a huge one is checked when
 # made and never run.
@@ -336,7 +337,7 @@ def test_every_hostile_value_of_a_setting_is_refused_or_runs(table_200, name):
     assert failures(lambda value: hostile_setting(table_200, name, value), HOSTILE_VALUES) == []
 
 
-HOSTILE_TEXTS = ["nan", "inf", "-0", "1e400", "", "0x10", "\u0661\u0662", "-1"]
+HOSTILE_TEXTS = ["nan", "inf", "-0", "1e400", "", "0x10", "\u0661\u0662", "-1", "in\0.csv"]
 NINES = "9" * 30
 
 
@@ -360,6 +361,8 @@ def argv_base(tmp_path_factory):
     }
 
 
+# output is left out: most texts name a directory in the working
+# directory, which the command would make.  Its cases are below.
 CLI_CASES = [
     (command, opt.name, text)
     for command, table in OPTIONS.items()
@@ -434,3 +437,85 @@ def test_cli_names_replicates_beyond_memory(argv_base):
     assert run.returncode == 4, run.stderr
     assert run.stderr.startswith(f"estimation error: {2**40} replicates do not fit in memory")
     assert run.stderr.count("\n") == 1
+
+
+# Every file each command writes in a full run (analyze with --emit-draws).
+WRITES = {
+    "analyze": ("result.json", "draws.csv"),
+    "simulate": ("summary.json", "zipplot.csv"),
+    "relerr": ("relerr_summary.json", "relerr.csv"),
+    "benchmark": ("benchmark_summary.json", "timings.csv", "medians.csv"),
+}
+def hostile_outputs(tmp, command):
+    """(output text, the path its refusal names) for each hostile output
+    of ``command``, made under ``tmp``: a regular file, a path under one,
+    a NUL byte, and per file the command writes, a directory in its place."""
+    file = tmp / "file"
+    file.write_text("a file, not a directory\n", encoding="utf-8")
+    cases = [(file, file), (file / "out", file / "out"), (tmp / "out\0put", tmp / "out\0put")]
+    for name in WRITES[command]:
+        (tmp / name / name).mkdir(parents=True)
+        cases.append((tmp / name, tmp / name / name))
+    return cases
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make each command's work, from reading its input on, fail the test."""
+    def work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("load_csv", "run_blb", "run_replications", "run_relerr_harness",
+                 "benchmark_timing"):
+        monkeypatch.setattr(cli, name, work)
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_a_hostile_output_is_refused_before_the_work(argv_base, capsys, no_work, command):
+    tmp = argv_base[0] / f"output-{command}"
+    tmp.mkdir()
+    cases = hostile_outputs(tmp, command)
+    before = sorted(tmp.rglob("*"))
+
+    def refused(case):
+        output, named = case
+        code, err = run_cli(argv_base, capsys, command, "output", str(output))
+        assert code == 2 and err.startswith("configuration error: ") and str(named) in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    assert failures(refused, cases) == []
+    assert sorted(tmp.rglob("*")) == before  # nothing made, nothing written
+
+
+def test_an_output_with_a_nul_byte_in_a_config_file_is_refused(argv_base, capsys, no_work):
+    # a shell cannot pass a NUL byte in an argument, but a file can hold one
+    tmp, bases = argv_base
+    config = tmp / "nul_output.conf"
+    config.write_text(f"output={tmp / 'out'}\0\n", encoding="utf-8")
+    options = {key: value for key, value in bases["simulate"].items() if key != "output"}
+    argv = ["simulate"] + [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot make output directory ")
+    assert "embedded null byte" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("analyze", "method", "external:scores\0.txt", "external_scores must be free of NUL bytes"),
+    ("simulate", "method", "external:scores\0.txt", "external_scores must be free of NUL bytes"),
+])
+def test_a_path_with_a_nul_byte_is_refused(argv_base, capsys, command, name, text, message):
+    code, err = run_cli(argv_base, capsys, command, name, text)
+    assert code == 2 and err.startswith(f"configuration error: {message}, got ")
+    assert err.count("\n") == 1
+
+
+def test_a_config_path_with_a_nul_byte_is_refused(argv_base, capsys):
+    argv = ["relerr"] + [f"--{key.replace('_', '-')}={value}"
+                         for key, value in argv_base[1]["relerr"].items()]
+    capsys.readouterr()
+    assert main(argv + ["--config", "run\0.conf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read config file run")
+    assert "embedded null byte" in err and err.count("\n") == 1
