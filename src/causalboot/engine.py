@@ -3,7 +3,10 @@
 For each of ``s`` subsets of size ``b`` drawn from the full table, the
 engine fits propensity scores, and ``order_subset`` splits the subset
 into its arms and computes, once, the normalized arm weights and the
-covariate balance, into one ``SubsetFit`` record.  From that record the
+covariate balance, into one ``SubsetFit`` record.  The subsets go
+through this stage in batches of at most ``_BATCH_ROWS`` rows, each
+batch's regression fits in one stacked Newton loop, so small subsets
+pay numpy's fixed cost per call once per batch.  From each record the
 engine draws ``r`` replicate pairs of multinomial count vectors at the
 *full-data* arm sizes (n1, n0).  Each replicate yields
 
@@ -14,7 +17,8 @@ and per-subset summaries (mean, bootstrap SD, percentile bounds, the
 whole-subset Hajek estimate) are averaged across subsets.
 
 ``iter_subsets`` is the one subset pipeline, ``fit_scores`` the one fit
-dispatcher and ``run_subset`` the one replicate kernel.  ``run_blb``
+dispatcher, a batch of subsets at a time, and ``run_subset`` the one
+replicate kernel.  ``run_blb``
 folds the subset pipeline into a ``BlbEstimate``, and the
 relative-error study in ``simulation`` folds it into running
 intervals.  ``draw_arm_totals`` is the only place replicate counts are
@@ -28,9 +32,9 @@ top-up draws plus the r totals, whatever r and b are.
 Every random draw comes from a substream keyed by (seed, subset,
 attempt), with a subset's replicates drawn in a fixed order from its
 own stream.  The totals are summed row by row, and the fits and
-weighted sums reduce in a fixed order, none of them through BLAS, so
-results are bit-identical regardless of thread count, BLAS thread
-count, block size or scheduling.
+weighted sums reduce in a fixed order along one subset's rows, none of
+them through BLAS, so results are bit-identical regardless of thread
+count, BLAS thread count, block size, batch size or scheduling.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .errors import EstimationError, RedrawBudgetError
 from .inference import BalanceReport, ConfidenceInterval, asymptotic_ci, hajek_ipw, percentile_ci, smd_balance
 from .propensity import (
     ArmWeights,
+    BatchFit,
     PropensityFit,
     fit_cbps,
     fit_logistic_irls,
@@ -65,6 +70,10 @@ from .propensity import (
 # ``draw_arm_totals`` holds about as many top-up draws.  The totals do
 # not depend on the block size.
 _BLOCK_CELLS = 2**16
+# Rows of the subsets fitted together, in one stacked Newton loop: a
+# batch of subsets pays the loop's fixed cost per numpy call once, and
+# holds its subsets' rows, fits and records until they are resampled.
+_BATCH_ROWS = 2**14
 # A Poisson row more than this many counts short of n_arm is redrawn
 # whole rather than topped up, which bounds the draws one row needs.
 # A row's shortfall averages 2 sqrt(n_arm), with SD about sqrt(n_arm),
@@ -360,11 +369,13 @@ def run_subset(
     )
 
 
-def _covariate_columns(table: ObservationTable, indices: np.ndarray) -> np.ndarray:
+def _covariate_columns(
+    table: ObservationTable, indices: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The covariates of the rows ``indices`` as one contiguous p x b
-    array, gathered a column at a time: the fits and the balance check
-    read its transpose column by column."""
-    columns = np.empty((table.p, indices.shape[0]))
+    array, gathered a column at a time into ``out`` if given: the fits
+    and the balance check read its transpose column by column."""
+    columns = np.empty((table.p, indices.shape[0])) if out is None else out
     for j, column in enumerate(columns):
         column[...] = table.x[indices, j]
     return columns
@@ -372,25 +383,35 @@ def _covariate_columns(table: ObservationTable, indices: np.ndarray) -> np.ndarr
 
 def fit_scores(
     table: ObservationTable,
-    indices: np.ndarray,
+    subsets: list[np.ndarray],
     config: BlbConfig,
     external: PropensityFit | None,
-) -> PropensityFit:
-    """The one fit dispatcher: propensity scores of the rows ``indices``
-    by ``config.estimator``, with ``external`` the full-data scores when
-    the estimator is external.  The fits are looked up as ``engine``
-    module globals at call time, so a wrapper set on them sees every fit.
+) -> BatchFit:
+    """The one fit dispatcher: the propensity fits of a batch of subsets
+    of equal size, one array of row indices each, by
+    ``config.estimator``, with ``external`` the full-data scores when
+    the estimator is external.  A regression fit takes the whole batch
+    in one stacked call, as an (m, p, b) stack of covariate columns; the
+    marginal and external scores come a member at a time.  The fits are
+    looked up as ``engine`` module globals at call time, so a wrapper
+    set on them sees every fit.
     """
-    w_sub = table.w[indices]
-    if config.estimator == "logistic":
-        return fit_logistic_irls(_covariate_columns(table, indices).T, w_sub)
-    if config.estimator == "cbps":
-        return fit_cbps(_covariate_columns(table, indices).T, w_sub)
-    if config.estimator == "marginal":
-        return marginal_propensity(w_sub)
-    # external: slice the full-data score vector at the subset rows
-    assert external is not None
-    return replace(external, scores=external.scores[indices])
+    if config.estimator in ("logistic", "cbps"):
+        fit = fit_logistic_irls if config.estimator == "logistic" else fit_cbps
+        columns = np.empty((len(subsets), table.p, len(subsets[0])))
+        w = np.empty((len(subsets), len(subsets[0])), dtype=table.w.dtype)
+        for rows, member_columns, member_w in zip(subsets, columns, w):
+            _covariate_columns(table, rows, out=member_columns)
+            np.take(table.w, rows, out=member_w)
+        return fit(columns.transpose(0, 2, 1), w)
+    fits: list = []
+    for rows in subsets:
+        try:  # external: the full-data score vector sliced at the subset rows
+            fits.append(marginal_propensity(table.w[rows]) if config.estimator == "marginal"
+                        else replace(external, scores=external.scores[rows]))
+        except EstimationError as exc:
+            fits.append(exc)
+    return BatchFit(fits)
 
 
 def _check_usable(subsetfit: SubsetFit, config: BlbConfig) -> None:
@@ -404,49 +425,84 @@ def _check_usable(subsetfit: SubsetFit, config: BlbConfig) -> None:
         raise EstimationError(f"max |SMD| {balance.max_abs_smd:.3g} above threshold")
 
 
-def _run_one_subset(
+def _attempt(
     table: ObservationTable,
     config: BlbConfig,
-    k: int,
+    members: list[int],
+    attempt: int,
     b: int,
     external: PropensityFit | None,
-) -> SubsetEstimate:
-    """Draw subset ``k``, redrawing on degeneracy, overlap, or fit failure.
+) -> list:
+    """Attempt ``attempt`` of each subset k in ``members``: its
+    ``SubsetFit``, or the ``EstimationError`` that makes it redraw.
 
-    Every redraw reason, a single-arm subset included, is an
-    ``EstimationError`` raised in the attempt's ``try`` by the fit,
-    ``order_subset`` or ``_check_usable``; its one ``except`` records it.
+    Each member draws its rows from its own (seed, subset, attempt)
+    substream; all are fitted in one ``fit_scores`` call, and each is
+    then truncated, ordered and checked as if alone.  Every redraw
+    reason, a single-arm subset included, is an ``EstimationError`` from
+    the fit, ``order_subset`` or ``_check_usable``.
     """
-    n0, n1 = table.n0, table.n1
-    reasons: list[str] = []
-    for attempt in range(config.max_redraws + 1):
-        stream = rng.substream(config.seed, rng.DOMAIN_SUBSET, k, attempt)
-        indices = draw_subset(table, b, stream)
+    subsets = [
+        draw_subset(table, b, rng.substream(config.seed, rng.DOMAIN_SUBSET, k, attempt))
+        for k in members
+    ]
+    outcomes: list = []
+    for k, indices, fit in zip(members, subsets, fit_scores(table, subsets, config, external).fits):
         try:
-            fit = fit_scores(table, indices, config, external)
-            fit = truncate_scores(fit, *config.truncation)
+            if isinstance(fit, EstimationError):
+                raise fit
             subsetfit = order_subset(
-                table, indices, fit, subset_id=k, balance_threshold=config.balance_threshold
+                table, indices, truncate_scores(fit, *config.truncation),
+                subset_id=k, balance_threshold=config.balance_threshold,
             )
             _check_usable(subsetfit, config)
         except EstimationError as exc:
-            reasons.append(f"attempt {attempt}: {exc}")
+            outcomes.append(exc)
+        else:
+            outcomes.append(subsetfit)
+    return outcomes
+
+
+def _run_batch(
+    table: ObservationTable,
+    config: BlbConfig,
+    members: range,
+    b: int,
+    external: PropensityFit | None,
+) -> list:
+    """The subsets ``members`` of a run: each one's estimate, or the
+    ``RedrawBudgetError`` that ends it.
+
+    The members make their attempts together; those that fail go to
+    their next attempt together, as a smaller batch.  Each usable subset
+    is then resampled from its (seed, subset, attempt) replicate stream.
+    """
+    records: dict[int, tuple[SubsetFit, int]] = {}
+    reasons: dict[int, list[str]] = {k: [] for k in members}
+    for attempt in range(config.max_redraws + 1):
+        pending = [k for k in members if k not in records]
+        if not pending:
+            break
+        for k, outcome in zip(pending, _attempt(table, config, pending, attempt, b, external)):
+            if isinstance(outcome, EstimationError):
+                reasons[k].append(f"attempt {attempt}: {outcome}")
+            else:
+                records[k] = (outcome, attempt)
+    estimates: list = []
+    for k in members:
+        if k not in records:
+            estimates.append(RedrawBudgetError(
+                f"subset {k}: no usable subset in {config.max_redraws + 1} attempts "
+                f"({'; '.join(reasons[k])})"
+            ))
             continue
-        del indices, fit  # resampling reads only subsetfit
+        subsetfit, attempt = records.pop(k)
         rep_stream = rng.substream(config.seed, rng.DOMAIN_REPLICATE, k, attempt)
-        return run_subset(
-            subsetfit,
-            config.replicates,
-            n0,
-            n1,
-            config.alpha,
-            rep_stream,
+        estimates.append(run_subset(
+            subsetfit, config.replicates, table.n0, table.n1, config.alpha, rep_stream,
             redraws=attempt,
-        )
-    raise RedrawBudgetError(
-        f"subset {k}: no usable subset in {config.max_redraws + 1} attempts "
-        f"({'; '.join(reasons)})"
-    )
+        ))
+    return estimates
 
 
 def ordered_map(func: Callable, items: Iterable, threads: int) -> Iterator:
@@ -464,11 +520,16 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     """Yield the estimate of each subset k = 0, 1, ..., s-1 in order.
 
     This is the one subset pipeline.  It resolves the subset size and
-    any external scores once; each subset is then drawn, fitted,
-    truncated, ordered, checked against the weight cap and (optionally)
-    the balance threshold, redrawn on failure, and resampled, by
-    ``ordered_map`` on ``config.threads`` threads.  Closing the generator
-    early cancels subsets not yet started.
+    any external scores once, then splits the s subsets into contiguous
+    batches of at most ``_BATCH_ROWS`` rows in all, and into at least
+    ``config.threads`` batches when s allows it.  Each batch's subsets
+    are drawn, fitted in one stacked call, truncated, ordered, checked
+    against the weight cap and (optionally) the balance threshold,
+    redrawn together on failure, and resampled, by ``ordered_map`` on
+    ``config.threads`` threads; a batch's estimates are yielded when the
+    batch is finished.  Each subset's estimate is that of its subset
+    alone, so the batches change no number.  Closing the generator early
+    cancels batches not yet started.
     """
     require_both_arms(table.w)
     b = config.subset_size or subset_size(table.n, config.gamma)
@@ -477,10 +538,18 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     if config.estimator == "external":
         external = load_external_scores(config.external_scores, table.n)
 
-    def job(k: int) -> SubsetEstimate:
-        return _run_one_subset(table, config, k, b, external)
+    s = config.subsets
+    size = max(1, min(_BATCH_ROWS // b, s // config.threads))
 
-    yield from ordered_map(job, range(config.subsets), config.threads)
+    def job(members: range) -> list:
+        return _run_batch(table, config, members, b, external)
+
+    batches = [range(k, min(k + size, s)) for k in range(0, s, size)]
+    for estimates in ordered_map(job, batches, config.threads):
+        for estimate in estimates:
+            if isinstance(estimate, RedrawBudgetError):
+                raise estimate
+            yield estimate
 
 
 def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:

@@ -5,10 +5,13 @@ regression fit by iteratively reweighted least squares, a just-identified
 covariate-balancing fit solved by damped Newton on the balance conditions,
 from the IRLS solution, and the marginal treatment rate; both regression
 fits run one damped-Newton loop, which evaluates each iterate once, from
-one X beta.  The design X = [1, x] is never formed: its products are
-computed from the covariate columns, with the intercept apart, as
-fixed-order numpy reductions rather than BLAS calls.  A fourth path
-loads scores computed by an external tool.
+one X beta.  The loop runs a batch of subsets in lockstep, over a stack
+of their covariate columns, and a single fit is a batch of one; each
+member's fit is bit for bit its fit alone.  The design X = [1, x] is
+never formed: its products are computed from the covariate columns,
+with the intercept apart, as fixed-order numpy reductions along each
+member's rows rather than BLAS calls.  A fourth path loads scores
+computed by an external tool.
 Scores are then truncated and turned into the normalized
 inverse-propensity weights that drive the resampling engine:
 
@@ -104,197 +107,337 @@ def require_both_arms(w: np.ndarray) -> int:
     return n1
 
 
-def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The covariates as one contiguous p x b array of columns and ``w``
-    as floats, once the rows match, both arms are present, rows
-    outnumber parameters and no column of ``x`` is constant: every value
-    equal, or a standard deviation of 0, as at 1e-300, where the spread
-    underflows.  The SD alone misses a column of 0.1 at b=100, whose mean
-    rounds away from 0.1.
+@dataclass(frozen=True)
+class BatchFit:
+    """The propensity fits of a batch of subsets, in batch order: each
+    member's ``PropensityFit``, or the ``EstimationError`` its fit
+    raised."""
+
+    fits: list
+
+    @property
+    def iterations(self) -> int:
+        """The iterations of the members that fitted, summed."""
+        return sum(fit.iterations for fit in self.fits if isinstance(fit, PropensityFit))
+
+    def single(self) -> PropensityFit:
+        """The fit of a batch of one, raised if it failed."""
+        (fit,) = self.fits
+        if isinstance(fit, EstimationError):
+            raise fit
+        return fit
+
+
+def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The covariates as one contiguous (m, p, b) stack of columns, ``w``
+    as floats and each member's input error, or None, once the rows
+    match.  ``x`` is b x p (or a b-vector) with a b-vector ``w`` for one
+    fit, a batch of one, or an (m, b, p) stack with an (m, b) ``w``.  A
+    member fails unless both arms are present, rows outnumber parameters
+    and no column of ``x`` is constant: every value equal, or a standard
+    deviation of 0, as at 1e-300, where the spread underflows.  The SD
+    alone misses a column of 0.1 at b=100, whose mean rounds away from
+    0.1.
 
     The fits handle the intercept apart from these columns, so they hold
-    no b x (p+1) design.  A b x p ``x`` that is the transpose of
-    contiguous columns, as ``engine.fit_scores`` passes, is not copied.
+    no b x (p+1) design.  An ``x`` that is the transpose of contiguous
+    columns, as ``engine.fit_scores`` passes, is not copied.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     w = np.asarray(w)
-    b, p = x.shape
-    if w.shape[0] != b:
+    if w.shape != x.shape[:-1]:
         raise EstimationError("treatment vector length does not match covariate rows")
-    require_both_arms(w)
-    if b <= p + 1:
-        raise EstimationError(f"need more rows than parameters: b={b}, p={p}")
-    columns = np.ascontiguousarray(x.T)
-    with np.errstate(all="ignore"):  # the SD of huge covariates overflows to inf
-        constant = [j for j, column in enumerate(columns)
-                    if column.max() == column.min() or column.std() == 0.0]
-    if constant:
-        raise EstimationError(
-            f"covariate column {constant[0]} is constant; drop it (intercept is implicit)"
-        )
-    return columns, w.astype(np.float64)
+    columns = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    if columns.ndim == 2:
+        columns, w = columns[np.newaxis], w[np.newaxis]
+    m, p, b = columns.shape
+    constant = np.zeros((m, p), dtype=bool)
+    if b > p + 1:
+        with np.errstate(all="ignore"):  # the SD of huge covariates overflows to inf
+            for j in range(p):  # one column of each member at a time
+                column = columns[:, j]
+                constant[:, j] = ((column.max(axis=1) == column.min(axis=1))
+                                  | (column.std(axis=1) == 0.0))
+    errors = []
+    for member_w, member_constant in zip(w, constant):
+        try:
+            require_both_arms(member_w)
+            if b <= p + 1:
+                raise EstimationError(f"need more rows than parameters: b={b}, p={p}")
+            if member_constant.any():
+                raise EstimationError(
+                    f"covariate column {member_constant.argmax()} is constant; "
+                    "drop it (intercept is implicit)"
+                )
+        except EstimationError as exc:
+            errors.append(exc)
+        else:
+            errors.append(None)
+    return columns, w.astype(np.float64), errors
 
 
-# The products of the design X = [1, x] that the fits need, from the
-# columns of x.  Each is a fixed-order np.einsum reduction, not a BLAS
-# call, so its bits do not depend on the BLAS thread pool.
+def _take(rows, *arrays: np.ndarray) -> tuple:
+    """``arrays`` at the increasing member indices ``rows``: the arrays
+    themselves when those are all their members, so that a batch of one
+    copies nothing."""
+    return arrays if len(rows) == len(arrays[0]) else tuple(a[rows] for a in arrays)
+
+
+def _fill(slots: list, fits) -> list:
+    """``slots`` with each None replaced, in order, by the next of ``fits``."""
+    fits = iter(fits)
+    return [next(fits) if slot is None else slot for slot in slots]
+
+
+# The products of the design X = [1, x] that the fits need, for each
+# member of a stack, from the columns of x.  Each is a fixed-order
+# np.einsum reduction along a member's rows, not a BLAS call, so its bits
+# depend neither on the BLAS thread pool nor on the other members.
 def _linear_predictor(columns: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """X beta, a new b-vector."""
-    eta = np.einsum("ji,j->i", columns, beta[1:])
-    eta += beta[0]
+    """X beta of each member, a new (m, b) array."""
+    eta = np.einsum("sji,sj->si", columns, beta[:, 1:])
+    eta += beta[:, :1]
     return eta
 
 
 def _design_dot(columns: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X'v: the sum of v, then each column's dot product with v."""
-    out = np.empty(columns.shape[0] + 1)
-    out[0] = np.einsum("i->", v)
-    np.einsum("ji,i->j", columns, v, out=out[1:])
+    """X'v of each member: the sum of v, then each column's dot product with v."""
+    out = np.empty((len(v), columns.shape[1] + 1))
+    out[:, 0] = np.einsum("si->s", v)
+    np.einsum("sji,si->sj", columns, v, out=out[:, 1:])
     return out
 
 
 def _design_gram(columns: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """X'DX with D = diag(d), a row of its upper triangle at a time:
-    row j holds the dot products of d * x_j with x_j, ..., x_p, so one
-    weighted column is alive at a time, never a weighted copy of x."""
-    gram = np.empty((columns.shape[0] + 1,) * 2)
-    gram[0] = gram[:, 0] = _design_dot(columns, d)
-    for j, column in enumerate(columns, start=1):
-        gram[j, j:] = gram[j:, j] = np.einsum("ki,i->k", columns[j - 1 :], column * d)
+    """X'DX of each member, D = diag(d), a row of its upper triangle at a
+    time: row j holds the dot products of d * x_j with x_j, ..., x_p, so
+    one weighted column per member is alive at a time, never a weighted
+    copy of x."""
+    k = columns.shape[1] + 1
+    gram = np.empty((len(d), k, k))
+    gram[:, 0] = gram[:, :, 0] = _design_dot(columns, d)
+    for j in range(1, k):
+        gram[:, j, j:] = gram[:, j:, j] = np.einsum(
+            "ski,si->sk", columns[:, j - 1 :], columns[:, j - 1] * d
+        )
     return gram
 
 
-def _newton(method, evaluate, beta, accept, tol, max_iter, at_root=None) -> PropensityFit:
-    """Damped Newton iteration shared by both regression fits.
-
-    ``evaluate(beta)`` computes all the loop uses at ``beta`` from one
-    X beta: ``(merit, eta_max, residual, jacobian, scores)``, with
-    ``eta_max`` = max|X beta|, ``scores`` = expit(X beta) and
-    ``jacobian()`` building the residual's Jacobian J from the same
-    scores.  Each iterate is evaluated once.  The fit converges at the
-    first iterate whose residual max-norm is below ``tol``, where
-    ``at_root(scores)``, if given, may still refuse it.  Otherwise the
-    step solves J step = -residual and is halved until
-    ``accept(candidate merit, merit, scale)`` holds, and the accepted
-    candidate's evaluation is the next iterate's; when 40 halvings find
-    no such candidate the current point is returned as not converged.
-    A candidate with ``eta_max`` beyond ``_SEPARATION_ETA``, a singular
-    Jacobian or a fitted score of exactly 0 or 1 raises
-    ``SeparationError``; a step that is not finite (X'X overflows on
-    covariates near 1e200) raises ``EstimationError``.  The fit's
-    ``objective`` is the residual norm at the returned coefficients.
-    """
-    converged, iterations = False, max_iter
-    with np.errstate(all="ignore"):  # a non-finite step raises below
-        value, eta_max, residual, jacobian, scores = evaluate(beta)
-        for it in range(max_iter + 1):
-            norm = float(np.max(np.abs(residual)))
-            if norm < tol:
-                if at_root is not None:
-                    at_root(scores)
-                converged, iterations = True, it
-                break
+def _steps(jacobian: np.ndarray, residual: np.ndarray, it: int) -> tuple[np.ndarray, dict]:
+    """Each member's Newton step, which solves J step = -residual, and
+    the error that ends each member that has none, by its index:
+    ``SeparationError`` for a singular J, found by solving the members
+    one by one when the stacked solve fails, or ``EstimationError`` for
+    a step that is not finite."""
+    errors = {}
+    try:
+        steps = np.linalg.solve(jacobian, -residual[..., np.newaxis])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty(residual.shape)
+        for i in range(len(jacobian)):
             try:
-                step = np.linalg.solve(jacobian(), -residual)
+                steps[i] = np.linalg.solve(
+                    jacobian[i : i + 1], -residual[i : i + 1, :, np.newaxis])[0, :, 0]
             except np.linalg.LinAlgError as exc:
-                raise SeparationError(f"singular Jacobian at iteration {it + 1}") from exc
-            if not np.isfinite(step).all():
-                raise EstimationError(f"Newton step is not finite at iteration {it + 1}")
-            if it == max_iter:
-                break
-            scale = 1.0
-            for _ in range(40):
-                cand = beta + scale * step
-                cand_eval = evaluate(cand)
-                if accept(cand_eval[0], value, scale):
-                    break
-                scale *= 0.5
-            else:
-                iterations = it + 1
-                break
-            beta, (value, eta_max, residual, jacobian, scores) = cand, cand_eval
-            if eta_max > _SEPARATION_ETA:
-                raise SeparationError(
-                    f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
-                )
+                errors[i] = SeparationError(f"singular Jacobian at iteration {it + 1}")
+                errors[i].__cause__ = exc
+                steps[i] = 0.0
+    for i in (~np.isfinite(steps).all(axis=1)).nonzero()[0]:
+        errors[i] = EstimationError(f"Newton step is not finite at iteration {it + 1}")
+    return steps, errors
+
+
+def _final(method, scores, beta, converged, iterations, objective):
+    """A member's fit where its iteration stops, or ``SeparationError``
+    when a fitted score is exactly 0 or 1."""
     if not ((scores > 0.0) & (scores < 1.0)).all():
-        raise SeparationError("fitted probabilities reached 0 or 1; data are separated")
+        return SeparationError("fitted probabilities reached 0 or 1; data are separated")
     return PropensityFit(
         scores=scores, coefficients=beta, method=method,
-        converged=converged, iterations=iterations, objective=norm,
+        converged=converged, iterations=iterations, objective=float(objective),
     )
 
 
-def fit_logistic_irls(x: np.ndarray, w: np.ndarray) -> PropensityFit:
+def _newton(method, evaluate, jacobian, accept, columns, w, beta, tol, max_iter,
+            saturated=None) -> list:
+    """Damped Newton iteration shared by both regression fits, run in
+    lockstep over a batch: member i starts at ``beta[i]`` on
+    ``columns[i]`` and ``w[i]``.
+
+    ``evaluate(columns, w, beta)`` computes all the loop uses at each
+    member's ``beta`` from one X beta: ``(merit, eta_max, residual,
+    scores)``, with ``eta_max`` = max|X beta| and ``scores`` =
+    expit(X beta), and ``jacobian(columns, w, scores)`` builds the
+    residuals' Jacobians J from those scores.  Each iterate is evaluated
+    once.  A member converges at the first iterate whose residual
+    max-norm is below ``tol``, unless ``saturated(w, scores)``, if
+    given, flags it.  Otherwise its step solves J step = -residual and
+    is halved until ``accept(candidate merit, merit, scale)`` holds, and
+    the accepted candidate's evaluation is its next iterate's; when 40
+    halvings find no such candidate its current point is returned as not
+    converged.  A candidate with ``eta_max`` beyond ``_SEPARATION_ETA``,
+    a singular Jacobian or a fitted score of exactly 0 or 1 ends the
+    member in ``SeparationError``, a step that is not finite (X'X
+    overflows on covariates near 1e200) in ``EstimationError``.  A fit's
+    ``objective`` is the residual norm at its returned coefficients.
+
+    Every reduction runs along one member's rows, a member leaves the
+    stack when it stops, and the members still searching are halved
+    together, so each member's iterates, halvings, iteration count and
+    error are those of its fit alone.  Returns each member's fit or
+    error, in batch order.
+    """
+    ends: list = [None] * len(beta)
+    live = np.arange(len(beta))  # each live member's place in the batch
+    with np.errstate(all="ignore"):  # a non-finite step ends its member below
+        value, _, residual, scores = evaluate(columns, w, beta)
+        for it in range(max_iter + 1):
+            norm = np.maximum.reduce(np.abs(residual), axis=1)
+            at_root = norm < tol
+            root = at_root.nonzero()[0]
+            if len(root):
+                flagged = saturated(*_take(root, w, scores)) if saturated else [False] * len(root)
+                for i, flag in zip(root, flagged):
+                    ends[live[i]] = (SeparationError(
+                        "fitted probabilities saturated at the outcomes; data are separated")
+                        if flag else _final(method, scores[i], beta[i], True, it, norm[i]))
+            going = (~at_root).nonzero()[0]
+            if not len(going):
+                break
+            step, errors = _steps(
+                jacobian(*_take(going, columns, w, scores)), *_take(going, residual), it)
+            for j, error in errors.items():
+                ends[live[going[j]]] = error
+            if errors:
+                usable = np.ones(len(going), dtype=bool)
+                usable[list(errors)] = False
+                going, step = going[usable], step[usable]
+            if it == max_iter:
+                for i in going:
+                    ends[live[i]] = _final(method, scores[i], beta[i], False, it, norm[i])
+                break
+            if not len(going):
+                break
+            # the line searches, a halving at a time: (live indices,
+            # candidate, merit, eta_max, residual, scores) of the members
+            # each round accepts
+            search, accepted, scale = going, [], 1.0
+            for _ in range(40):
+                now_beta, now_columns, now_w, now_value = _take(search, beta, columns, w, value)
+                cand = now_beta + scale * step
+                found = evaluate(now_columns, now_w, cand)
+                ok = accept(found[0], now_value, scale)
+                if ok.all():
+                    accepted.append((search, cand, *found))
+                    search = search[:0]
+                    break
+                if ok.any():
+                    accepted.append(tuple(a[ok] for a in (search, cand, *found)))
+                search, step = search[~ok], step[~ok]
+                scale *= 0.5
+            for i in search:
+                ends[live[i]] = _final(method, scores[i], beta[i], False, it + 1, norm[i])
+            if not accepted:
+                break
+            if len(accepted) > 1:
+                parts = [np.concatenate(a) for a in zip(*accepted)]
+                order = parts[0].argsort()
+                accepted = [[a[order] for a in parts]]
+            rows, beta, value, eta_max, residual, scores = accepted[0]
+            separated = eta_max > _SEPARATION_ETA
+            if separated.any():
+                for i in separated.nonzero()[0]:
+                    ends[live[rows[i]]] = SeparationError(
+                        f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
+                    )
+                keep = (~separated).nonzero()[0]
+                beta, value, residual, scores, rows = _take(
+                    keep, beta, value, residual, scores, rows)
+            columns, w, live = _take(rows, columns, w, live)
+            if not len(live):
+                break
+    return ends
+
+
+def _fit(solver, x: np.ndarray, w: np.ndarray):
+    """``solver`` on the members of ``x`` and ``w`` that pass the input
+    checks: the ``BatchFit`` of a stack, or the fit of one subset."""
+    columns, w, errors = _check_fit_inputs(x, w)
+    ok = [i for i, error in enumerate(errors) if error is None]
+    batch = BatchFit(_fill(errors, solver(*_take(ok, columns, w)) if ok else ()))
+    return batch if np.ndim(x) == 3 else batch.single()
+
+
+def fit_logistic_irls(x: np.ndarray, w: np.ndarray) -> PropensityFit | BatchFit:
     """Fit a logistic propensity model by Newton/IRLS.
 
-    Convergence is declared when the max-norm of the score vector
-    X'(w - pi) falls below ``config.IRLS_TOL`` within
-    ``config.IRLS_MAX_ITER`` steps.  Divergence of the linear predictor
-    signals perfect separation and raises ``SeparationError``.
+    ``x`` b x p and ``w`` a b-vector give one fit, returned or raised;
+    an (m, b, p) stack and an (m, b) ``w`` give the ``BatchFit`` of m
+    subsets, each fitted as if alone.  Convergence is declared when the
+    max-norm of the score vector X'(w - pi) falls below
+    ``config.IRLS_TOL`` within ``config.IRLS_MAX_ITER`` steps.
+    Divergence of the linear predictor signals perfect separation and
+    ends the fit in ``SeparationError``.
     """
-    return _irls(*_check_fit_inputs(x, w))
+    return _fit(_irls, x, w)
 
 
 def _likelihood_equations(columns: np.ndarray, w: np.ndarray, beta: np.ndarray):
     """IRLS's evaluation at ``beta`` for ``_newton``: the log-likelihood,
-    max|X beta|, the score X'(w - pi), its Jacobian -X'WX with
-    W = pi(1 - pi), and pi."""
+    max|X beta|, the score X'(w - pi) and pi, of each member."""
     eta = _linear_predictor(columns, beta)
     # log L = sum(w*eta - log(1 + exp(eta))), stable via logaddexp
     softplus = np.logaddexp(0.0, eta)
-    loglik = float((w * eta - softplus).sum())
-    eta_max = float(np.abs(eta).max())
+    loglik = (w * eta - softplus).sum(axis=1)
+    eta_max = np.abs(eta).max(axis=1)
     pi = expit(eta, out=eta)
     score = _design_dot(columns, np.subtract(w, pi, out=softplus))
-    return loglik, eta_max, score, lambda: -_design_gram(columns, pi * (1.0 - pi)), pi
+    return loglik, eta_max, score, pi
 
 
-def _irls(columns: np.ndarray, w: np.ndarray) -> PropensityFit:
-    """The IRLS fit on checked covariate columns and float 0/1 vector ``w``."""
-    beta = np.zeros(columns.shape[0] + 1)
+def _irls(columns: np.ndarray, w: np.ndarray) -> list:
+    """The IRLS fits on checked covariate columns and float 0/1 rows ``w``."""
+    beta = np.zeros((len(w), columns.shape[1] + 1))
     # Start at the intercept-only MLE so the first step is well scaled.
-    rate = w.mean()
-    beta[0] = np.log(rate / (1.0 - rate))
-
-    def at_root(pi):
-        if float(np.max(np.abs(w - pi))) < _SATURATION_TOL:
-            raise SeparationError(
-                "fitted probabilities saturated at the outcomes; data are separated"
-            )
-
+    rate = w.mean(axis=1)
+    beta[:, 0] = np.log(rate / (1.0 - rate))
     return _newton(
-        "logistic", lambda beta: _likelihood_equations(columns, w, beta), beta,
+        "logistic", _likelihood_equations,
+        # minus the Fisher information X'WX, W = pi(1 - pi)
+        lambda columns, w, pi: -_design_gram(columns, pi * (1.0 - pi)),
         # a step is taken unless the log-likelihood falls
-        lambda new, old, scale: new >= old - 1e-12 * abs(old),
-        IRLS_TOL, IRLS_MAX_ITER, at_root,
+        lambda new, old, scale: new >= old - 1e-12 * np.abs(old),
+        columns, w, beta, IRLS_TOL, IRLS_MAX_ITER,
+        lambda w, pi: np.abs(w - pi).max(axis=1) < _SATURATION_TOL,
     )
 
 
 def _balance_conditions(columns: np.ndarray, w: np.ndarray, beta: np.ndarray):
     """The balancing fit's evaluation at ``beta`` for ``_newton``: the
     merit 0.5*||g||^2, max|X beta|, the just-identified ATE balance
-    moments g(beta), intercept included, their Jacobian
-    J(beta) = -X'DX/b with D = w(1 - pi)/pi + (1 - w)pi/(1 - pi), and pi.
-    Inside g and J, pi is clipped to [_PROB_FLOOR, 1 - _PROB_FLOOR].
+    moments g(beta), intercept included, and pi, of each member.  Inside
+    g, pi is clipped to [_PROB_FLOOR, 1 - _PROB_FLOOR].
     """
-    b = columns.shape[1]
+    b = columns.shape[2]
     eta = _linear_predictor(columns, beta)
-    eta_max = float(np.abs(eta).max())
+    eta_max = np.abs(eta).max(axis=1)
     scores = expit(eta, out=eta)
     pi = scores.clip(_PROB_FLOOR, 1.0 - _PROB_FLOOR)
     g = _design_dot(columns, w / pi - (1.0 - w) / (1.0 - pi)) / b
-
-    def jacobian():
-        d = w * (1.0 - pi) / pi + (1.0 - w) * pi / (1.0 - pi)
-        return -_design_gram(columns, d) / b
-
-    return 0.5 * float(np.einsum("j,j->", g, g)), eta_max, g, jacobian, scores
+    return 0.5 * np.einsum("sj,sj->s", g, g), eta_max, g, scores
 
 
-def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit:
+def _balance_jacobian(columns: np.ndarray, w: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """J(beta) = -X'DX/b of each member, D = w(1 - pi)/pi + (1 - w)pi/(1 - pi),
+    with pi clipped as in ``_balance_conditions``."""
+    pi = scores.clip(_PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    d = w * (1.0 - pi) / pi + (1.0 - w) * pi / (1.0 - pi)
+    return -_design_gram(columns, d) / columns.shape[2]
+
+
+def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit | BatchFit:
     """Covariate-balancing propensity fit (just-identified, logistic link).
 
     Finds coefficients making the inverse-propensity-weighted covariate
@@ -307,15 +450,26 @@ def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit:
     Jacobian J = -X'DX/b, D > 0, so it descends 0.5*||g||^2, and is
     halved until that merit passes an Armijo test.  Convergence requires
     ||g||_inf < ``config.CBPS_TOL`` within ``config.CBPS_MAX_ITER`` steps.
+    ``x`` and ``w`` give one fit or a batch, as for ``fit_logistic_irls``.
     """
-    columns, w = _check_fit_inputs(x, w)
-    return _newton(
-        "cbps", lambda beta: _balance_conditions(columns, w, beta), _irls(columns, w).coefficients,
+    return _fit(_cbps, x, w)
+
+
+def _cbps(columns: np.ndarray, w: np.ndarray) -> list:
+    """The balancing fits on checked columns and float rows ``w``, each
+    from its member's IRLS fit; a member whose IRLS fit fails ends in
+    that error."""
+    start = _irls(columns, w)
+    slots = [None if isinstance(fit, PropensityFit) else fit for fit in start]
+    ok = [i for i, slot in enumerate(slots) if slot is None]
+    return _fill(slots, _newton(
+        "cbps", _balance_conditions, _balance_jacobian,
         # Armijo with c = 1e-4: along the Newton step the merit f has
         # slope -||g||^2 = -2f
         lambda new, old, scale: new <= old * (1.0 - 2e-4 * scale),
+        *_take(ok, columns, w), np.array([start[i].coefficients for i in ok]),
         CBPS_TOL, CBPS_MAX_ITER,
-    )
+    ) if ok else ())
 
 
 def marginal_propensity(w: np.ndarray) -> PropensityFit:

@@ -4,8 +4,11 @@ replications, relative-error trajectories, and timing benchmarks.
 All studies run the engine's own code: replications and timing runs call
 ``run_blb``, the relative-error study folds ``iter_subsets`` subset by
 subset, and the relative-error oracle and the fit-only timing grid call
-``engine.fit_scores``, the engine's one fit dispatcher.  Replications
-take their seed and pool size from the ``BlbConfig`` they run.
+``engine.fit_scores``, the engine's one fit dispatcher, with a batch of
+one subset.  ``iter_subsets`` yields a batch of subsets at once, so the
+relative-error study's cumulative time steps once per batch.
+Replications take their seed and pool size from the ``BlbConfig`` they
+run.
 """
 
 from __future__ import annotations
@@ -214,7 +217,8 @@ def oracle_interval(n: int, oracle_reps: int, seed: int) -> tuple[float, float]:
     estimates = np.empty(oracle_reps)
     for t in range(oracle_reps):
         table = generate_dgm(n, rng.substream(seed, rng.DOMAIN_ORACLE, t))
-        fit = truncate_scores(fit_scores(table, rows, defaults, None), *defaults.truncation)
+        fit = fit_scores(table, [rows], defaults, None).single()
+        fit = truncate_scores(fit, *defaults.truncation)
         arms = order_subset(table, rows, fit)
         estimates[t] = hajek_ipw(arms.y0, arms.y1, arms.weights)
     ci = percentile_ci(estimates, defaults.alpha)
@@ -236,7 +240,8 @@ def run_relerr_harness(
     ``iter_subsets``, the pipeline ``run_blb`` uses: after subset s the
     running interval is the mean of the per-subset percentile bounds
     seen so far, and its relative error against the oracle interval is
-    recorded together with cumulative processing time.  Level and
+    recorded together with cumulative processing time, which grows
+    when a batch of subsets is finished (see ``iter_subsets``).  Level and
     truncation are ``BlbConfig``'s defaults, as in ``oracle_interval``;
     the weight cap is off (1.0) because the oracle interval has none.
     Trajectories are averaged over ``data_reps`` independent datasets
@@ -343,7 +348,7 @@ def benchmark_timing(
                         t0 = time.perf_counter()
                         if grid:
                             for _ in range(s):
-                                fit_scores(table, rows, cfg, None)
+                                fit_scores(table, [rows], cfg, None).single()
                         else:
                             run_blb(table, cfg)
                         seconds.append(time.perf_counter() - t0)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test (or parametrized leg) per release criterion.
 
 Every check prints an ``ACCEPTANCE <n> <name>: PASS|FAIL`` line (visible
-with ``pytest -s``) and then asserts.  Two legs are expected failures on
-statistical/structural grounds and are marked xfail with the analysis
+with ``pytest -s``) and then asserts.  Three legs are expected failures
+on statistical/structural grounds and are marked xfail with the analysis
 summarized in the reason; the full account lives in the project notes.
 
 The heavy studies (criteria 1, 2, 5, 6) take a couple of minutes
@@ -120,6 +120,56 @@ def test_coverage_asymptotic(coverage_runs):
     report(
         2, "asymptotic coverage at s=10", ok,
         f"asymptotic={s10.coverage_asymptotic:.3f}, percentile={s10.coverage_percentile:.3f}",
+    )
+
+
+# ---------------------------------------------------------------------
+# 2, at n=20000, gamma=0.7 (b=1025), logistic, r=100: percentile
+#    intervals cover when the s = ceil(n/b) = 20 subsets hold about every
+#    row (s*b/n = 1.02), and not at s=10 (s*b/n = 0.51), where the SD of
+#    tau_hat exceeds the bootstrap SE.  Both legs run the same 300
+#    datasets and run seeds.
+# ---------------------------------------------------------------------
+
+# 3.5 MCSE below the s=20 leg's measured 0.953 (MCSE 0.012); criterion
+# 2's 0.93 would sit only 1.9 MCSE below it at R=300.
+ROW_COVERAGE_BOUND = 0.91
+
+
+@pytest.fixture(scope="module")
+def row_fraction_runs():
+    n = 20000
+    assert -(-n // cb.subset_size(n, 0.7)) == 20
+    base = cb.BlbConfig(gamma=0.7, replicates=100, seed=9009, threads=THREADS)
+    return {s: run_replications(300, n, dataclasses.replace(base, subsets=s)) for s in (20, 10)}
+
+
+def test_coverage_when_subsets_hold_every_row(row_fraction_runs):
+    s20 = row_fraction_runs[20]
+    report(
+        2, "percentile coverage at n=20000, s=20",
+        s20.coverage_percentile >= ROW_COVERAGE_BOUND,
+        f"coverage={s20.coverage_percentile:.3f} (mcse {s20.coverage_mcse:.3f}), "
+        f"bound {ROW_COVERAGE_BOUND}",
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "at n=20000 the s=10 subsets hold about half the rows (s*b/n = 0.51), "
+        "so the SD of tau_hat exceeds the bootstrap SE the interval is built "
+        "from: percentile coverage measured 0.913 (MCSE 0.016) on these 300 "
+        "datasets against 0.953 (0.012) at s=20, and 0.877 (0.019) against "
+        "0.947 (0.013) on 300 datasets at seed 11; the 0.93 that criterion 2 "
+        "reaches at s=10 holds at n=5000, where s*b/n = 1.82."
+    ),
+)
+def test_coverage_when_subsets_hold_half_the_rows(row_fraction_runs):
+    s10 = row_fraction_runs[10]
+    report(
+        2, "percentile coverage at n=20000, s=10", s10.coverage_percentile >= 0.93,
+        f"coverage={s10.coverage_percentile:.3f} (mcse {s10.coverage_mcse:.3f})",
     )
 
 

@@ -1,6 +1,8 @@
 """The damped-Newton loop both propensity fits run: stopping rules, typed
-failures on hostile designs, and the balancing fit's line search."""
+failures on hostile designs, the balancing fit's line search, and the
+stacked loop's batches, each member of which is its fit alone."""
 
+import json
 import re
 from unittest import mock
 
@@ -11,12 +13,15 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from causalboot import BlbConfig, EstimationError, SeparationError, fit_cbps, fit_logistic_irls, run_blb
-from causalboot import propensity
+from causalboot import engine, propensity
 from causalboot import rng as cbrng
+from causalboot.cli import main
 from causalboot.config import CBPS_TOL, IRLS_TOL
+from causalboot.propensity import BatchFit, PropensityFit
 from causalboot.simulation import generate_dgm
 
 from oracles import design
+from test_cli import export_dgm_csv
 
 FITS = [(fit_logistic_irls, IRLS_TOL), (fit_cbps, CBPS_TOL)]
 KINDS = ("random", "near_separated", "collinear", "binary")
@@ -24,26 +29,31 @@ KINDS = ("random", "near_separated", "collinear", "binary")
 
 @pytest.fixture
 def newton_log(monkeypatch):
-    """Each ``propensity._newton`` call's method and log, in call order.
-    A log lists (code, residual) pairs: e an evaluation, with its
-    residual; j a Jacobian built; A or r a candidate accepted or refused."""
+    """Each ``propensity._newton`` call's method and log, in call order,
+    for fits of one subset (a batch of one).  A log lists (code,
+    residual) pairs: e an evaluation, with its residual; j a Jacobian
+    built; A or r a candidate accepted or refused."""
     calls, newton = [], propensity._newton
 
-    def traced(method, evaluate, beta, accept, *rest):
+    def traced(method, evaluate, jacobian, accept, *rest, **kwargs):
         log = []
         calls.append((method, log))
 
-        def traced_evaluate(beta):
-            merit, eta_max, residual, jacobian, scores = evaluate(beta)
-            log.append(("e", residual))
-            return merit, eta_max, residual, lambda: log.append(("j", None)) or jacobian(), scores
+        def traced_evaluate(*args):
+            merit, eta_max, residual, scores = evaluate(*args)
+            log.append(("e", residual[0]))
+            return merit, eta_max, residual, scores
+
+        def traced_jacobian(*args):
+            log.append(("j", None))
+            return jacobian(*args)
 
         def traced_accept(*args):
             accepted = accept(*args)
-            log.append(("A" if accepted else "r", None))
+            log.append(("A" if accepted[0] else "r", None))
             return accepted
 
-        return newton(method, traced_evaluate, beta, traced_accept, *rest)
+        return newton(method, traced_evaluate, traced_jacobian, traced_accept, *rest, **kwargs)
 
     monkeypatch.setattr(propensity, "_newton", traced)
     return calls
@@ -227,7 +237,7 @@ class TestStoppingRules:
             return solve(a, b) if len(solves) == 1 else -solve(a, b)
 
         start = fit_logistic_irls(dgm_table.x, dgm_table.w)
-        monkeypatch.setattr(propensity, "_irls", lambda X, w: start)
+        monkeypatch.setattr(propensity, "_irls", lambda columns, w: [start])
         monkeypatch.setattr(np.linalg, "solve", reversed_after_first)
         fit = fit_cbps(dgm_table.x, dgm_table.w)
         assert not fit.converged
@@ -239,3 +249,128 @@ class TestStoppingRules:
         g = X.T @ (w / pi - (1 - w) / (1 - pi)) / len(w)
         assert fit.objective == pytest.approx(np.max(np.abs(g)), rel=1e-9)
         assert fit.objective >= CBPS_TOL
+
+
+# Members a batch mixes with ordinary ones: a single arm, a constant
+# column and complete separation, besides the kinds of hostile_design.
+MEMBER_KINDS = KINDS + ("single_arm", "constant", "separated")
+
+
+def member_design(seed, b, p, kind, scale):
+    """One member's covariates and treatment, by ``kind``."""
+    if kind == "separated":
+        return hostile_design(seed, b, p, "near_separated", 0.0, scale)
+    x, w = hostile_design(seed, b, p, kind if kind in KINDS else "random", 0.1, scale)
+    if kind == "single_arm":
+        w[:] = seed % 2
+    if kind == "constant":
+        x[:, seed % p] = 0.1 * scale
+    return x, w
+
+
+def same_fit(got, alone):
+    """Whether a batch member's fit is, bit for bit, its fit alone."""
+    return (
+        type(got) is PropensityFit
+        and got.scores.tobytes() == alone.scores.tobytes()
+        and got.coefficients.tobytes() == alone.coefficients.tobytes()
+        and (got.method, got.converged, got.iterations, got.clamped)
+        == (alone.method, alone.converged, alone.iterations, alone.clamped)
+        and repr(got.objective) == repr(alone.objective)
+    )
+
+
+class TestBatches:
+    @given(
+        seed=st.integers(0, 2**32 - 13),
+        m=st.integers(1, 12),
+        p=st.integers(1, 4),
+        b=st.integers(3, 300),
+        tiny=st.integers(0, 9),
+        kinds=st.lists(st.sampled_from(MEMBER_KINDS), min_size=12, max_size=12),
+        scale=st.sampled_from([1e-3, 1.0, 1e2, 1e200]),  # X'X overflows at 1e200
+    )
+    @example(seed=3, m=3, p=2, b=40, tiny=1, kinds=["random", "collinear"] + ["random"] * 10,
+             scale=1.0)
+    @example(seed=5, m=4, p=3, b=4, tiny=0, kinds=["random", "single_arm"] * 6, scale=1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_each_member_is_its_fit_alone(self, seed, m, p, b, tiny, kinds, scale):
+        # one draw in ten gives every member b <= p + 1 rows, too few to
+        # fit; a member that fails raises its fit alone's error and message
+        b = 2 + b % p if tiny == 0 else max(b, p + 2)
+        members = [member_design(seed + i, b, p, kinds[i], scale) for i in range(m)]
+        x = np.stack([x for x, _ in members])
+        w = np.stack([w for _, w in members])
+        for fit_fn in (fit_logistic_irls, fit_cbps):
+            batch = fit_fn(x, w)
+            assert isinstance(batch, BatchFit) and len(batch.fits) == m
+            iterations = 0
+            for (x_i, w_i), got in zip(members, batch.fits):
+                try:
+                    alone = fit_fn(x_i, w_i)
+                except EstimationError as exc:
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                    continue
+                assert same_fit(got, alone)
+                iterations += alone.iterations
+            assert batch.iterations == iterations
+
+    def test_a_batch_of_one_copies_no_design(self):
+        # the stack a single fit builds views the covariates it was given
+        x = generate_dgm(500, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0)).x.T.copy().T
+        columns, _, errors = propensity._check_fit_inputs(x, np.arange(500) % 2)
+        assert errors == [None] and np.shares_memory(columns, x)
+
+
+def analyze_argv(csv_path, method, threads, out):
+    # at a balance threshold of 0.05, 5 of the 10 logistic subsets redraw
+    # (8 redraws), so members fail and retry together as a smaller batch
+    return ["analyze", "--input", str(csv_path), "--outcome", "y", "--treatment", "w",
+            "--covariates", "x1,x2", "--method", method, "--gamma", "0.7", "--subsets", "10",
+            "--replicates", "30", "--seed", "5", "--redraw-on-imbalance",
+            "--balance-threshold", "0.05", "--max-redraws", "30",
+            "--threads", str(threads), "--output", str(out)]
+
+
+def simulate_argv(threads, out):
+    return ["simulate", "--method", "cbps", "--n", "2000", "--replications", "10",
+            "--subsets", "10", "--replicates", "20", "--seed", "5", "--threads", str(threads),
+            "--output", str(out)]
+
+
+def test_payloads_do_not_depend_on_the_batches(tmp_path, monkeypatch):
+    # n = 2,000 and gamma = 0.7 give b = 205: at the default row cap ten
+    # subsets form one batch on one thread and 2 or 4 batches on 2 or 4;
+    # a cap of one row puts every subset alone in its batch
+    csv_path = export_dgm_csv(tmp_path / "data.csv", n=2000, seed=8)
+    checked = []
+
+    def recorded(fit_fn):
+        def fit(x, w):
+            batch = fit_fn(x, w)
+            alone = []
+            for x_i, w_i in zip(x, w):
+                try:
+                    alone.append(fit_fn(x_i, w_i).iterations)
+                except EstimationError:
+                    pass
+            checked.append(batch.iterations == sum(alone))
+            return batch
+        return fit
+
+    monkeypatch.setattr(engine, "fit_logistic_irls", recorded(fit_logistic_irls))
+    monkeypatch.setattr(engine, "fit_cbps", recorded(fit_cbps))
+    runs = [(f"analyze {method}", lambda t, out, method=method: analyze_argv(
+        csv_path, method, t, out), "result.json") for method in ("logistic", "cbps")]
+    runs.append(("simulate cbps", simulate_argv, "summary.json"))
+    for name, argv, document in runs:
+        payloads = set()
+        for cap in (engine._BATCH_ROWS, 1):
+            monkeypatch.setattr(engine, "_BATCH_ROWS", cap)
+            for threads in (1, 2, 4):
+                out = tmp_path / f"{name}-{cap}-{threads}".replace(" ", "-")
+                assert main(argv(threads, out)) == 0
+                payload = json.loads((out / document).read_text())["payload"]
+                payloads.add(json.dumps(payload, sort_keys=True))
+        assert len(payloads) == 1, name
+    assert checked and all(checked)

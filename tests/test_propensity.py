@@ -164,8 +164,9 @@ class TestCbps:
     def test_balance_conditions_below_tolerance(self, dgm_table):
         fit = fit_cbps(dgm_table.x, dgm_table.w)
         assert fit.converged
-        columns, w = dgm_table.x.T.copy(), dgm_table.w.astype(float)
-        g = _balance_conditions(columns, w, fit.coefficients)[2]
+        # the evaluation of a stack of one member
+        columns, w = dgm_table.x.T.copy()[None], dgm_table.w.astype(float)[None]
+        g = _balance_conditions(columns, w, fit.coefficients[None])[2][0]
         assert np.max(np.abs(g)) < 1e-6
 
     def test_weighted_means_agree_across_arms(self):
@@ -179,10 +180,10 @@ class TestCbps:
     def test_initialized_from_irls_improves_balance(self, dgm_table):
         irls = fit_logistic_irls(dgm_table.x, dgm_table.w)
         cbps = fit_cbps(dgm_table.x, dgm_table.w)
-        columns = dgm_table.x.T.copy()
-        w = dgm_table.w.astype(float)
-        g_irls = np.max(np.abs(_balance_conditions(columns, w, irls.coefficients)[2]))
-        g_cbps = np.max(np.abs(_balance_conditions(columns, w, cbps.coefficients)[2]))
+        columns = dgm_table.x.T.copy()[None]
+        w = dgm_table.w.astype(float)[None]
+        g_irls = np.max(np.abs(_balance_conditions(columns, w, irls.coefficients[None])[2]))
+        g_cbps = np.max(np.abs(_balance_conditions(columns, w, cbps.coefficients[None])[2]))
         assert g_cbps < g_irls
 
 
