@@ -17,6 +17,7 @@ import contextlib
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import os
@@ -460,16 +461,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_output(out: Path, names: tuple[str, ...]) -> None:
+@contextlib.contextmanager
+def _output_directory(out: Path, names: tuple[str, ...]):
     """Make the output directory, and refuse it if any of ``names`` is a
-    directory there, before the command does any work."""
-    try:  # mkdir refuses a NUL byte with a ValueError
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
-    for name in names:
-        if (out / name).is_dir():
-            raise ConfigError(f"cannot write {out / name}: it is a directory")
+    directory there, before the command does any work.  If the command
+    then fails, the directories made here are removed, so a run refused
+    before it wrote a file leaves none behind; a directory that was
+    there stays."""
+    # those mkdir may make, deepest first; os.path.exists never raises
+    made = list(itertools.takewhile(lambda path: not os.path.exists(path), (out, *out.parents)))
+    try:
+        try:  # mkdir refuses a NUL byte with a ValueError
+            out.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+        for name in names:
+            if (out / name).is_dir():
+                raise ConfigError(f"cannot write {out / name}: it is a directory")
+        yield
+    except CausalbootError:
+        for directory in made:  # rmdir refuses one that holds a file, and so its parents
+            with contextlib.suppress(OSError, ValueError):
+                directory.rmdir()
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -478,8 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     command, _, names = _COMMANDS[args.command]
     try:
         opts = _options(args)
-        _make_output(opts.output, names)
-        return command(opts, started)
+        with _output_directory(opts.output, names):
+            return command(opts, started)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,8 +6,9 @@ covariate-balancing fit solved by damped Newton on the balance conditions,
 from the IRLS solution, and the marginal treatment rate; both regression
 fits run one damped-Newton loop, which evaluates each iterate once, from
 one X beta.  The loop runs a batch of subsets in lockstep, over a stack
-of their covariate columns, and a single fit is a batch of one; each
-member's fit is bit for bit its fit alone.  The design X = [1, x] is
+of their covariate columns that keeps all its members for the whole
+fit, a mask saying whose results still count; a single fit is a batch
+of one, and each member's fit is bit for bit its fit alone.  The design X = [1, x] is
 never formed: its products are computed from the covariate columns,
 with the intercept apart, as fixed-order numpy reductions along each
 member's rows rather than BLAS calls.  A fourth path loads scores
@@ -178,19 +179,6 @@ def _check_fit_inputs(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     return columns, w.astype(np.float64), errors
 
 
-def _take(rows, *arrays: np.ndarray) -> tuple:
-    """``arrays`` at the increasing member indices ``rows``: the arrays
-    themselves when those are all their members, so that a batch of one
-    copies nothing."""
-    return arrays if len(rows) == len(arrays[0]) else tuple(a[rows] for a in arrays)
-
-
-def _fill(slots: list, fits) -> list:
-    """``slots`` with each None replaced, in order, by the next of ``fits``."""
-    fits = iter(fits)
-    return [next(fits) if slot is None else slot for slot in slots]
-
-
 # The products of the design X = [1, x] that the fits need, for each
 # member of a stack, from the columns of x.  Each is a fixed-order
 # np.einsum reduction along a member's rows, not a BLAS call, so its bits
@@ -261,10 +249,11 @@ def _final(method, scores, beta, converged, iterations, objective):
 
 
 def _newton(method, evaluate, jacobian, accept, columns, w, beta, tol, max_iter,
-            saturated=None) -> list:
+            saturated=None, ends=None) -> list:
     """Damped Newton iteration shared by both regression fits, run in
     lockstep over a batch: member i starts at ``beta[i]`` on
-    ``columns[i]`` and ``w[i]``.
+    ``columns[i]`` and ``w[i]``, unless ``ends[i]``, its error before the
+    fit, is given.
 
     ``evaluate(columns, w, beta)`` computes all the loop uses at each
     member's ``beta`` from one X beta: ``(merit, eta_max, residual,
@@ -283,90 +272,78 @@ def _newton(method, evaluate, jacobian, accept, columns, w, beta, tol, max_iter,
     overflows on covariates near 1e200) in ``EstimationError``.  A fit's
     ``objective`` is the residual norm at its returned coefficients.
 
-    Every reduction runs along one member's rows, a member leaves the
-    stack when it stops, and the members still searching are halved
-    together, so each member's iterates, halvings, iteration count and
-    error are those of its fit alone.  Returns each member's fit or
-    error, in batch order.
+    The stack keeps all its members for the whole fit: every evaluation
+    covers each of them, and a mask of the live members says whose
+    results count.  A member that has stopped gets the identity for its
+    Jacobian and a zero residual, so a zero step, and its results are
+    ignored.  Every reduction runs along one member's rows and all live
+    members start their line searches together, so each member's
+    iterates, halvings, iteration count and error are those of its fit
+    alone.  Returns each member's fit or error, in batch order.
     """
-    ends: list = [None] * len(beta)
-    live = np.arange(len(beta))  # each live member's place in the batch
-    with np.errstate(all="ignore"):  # a non-finite step ends its member below
+    ends = [None] * len(beta) if ends is None else list(ends)
+    live = np.array([end is None for end in ends])
+    if not live.any():
+        return ends
+    with np.errstate(all="ignore"):  # a stopped member's results and non-finite steps are ignored
         value, _, residual, scores = evaluate(columns, w, beta)
         for it in range(max_iter + 1):
             norm = np.maximum.reduce(np.abs(residual), axis=1)
-            at_root = norm < tol
-            root = at_root.nonzero()[0]
-            if len(root):
-                flagged = saturated(*_take(root, w, scores)) if saturated else [False] * len(root)
-                for i, flag in zip(root, flagged):
-                    ends[live[i]] = (SeparationError(
+            at_root = live & (norm < tol)
+            if at_root.any():
+                flagged = saturated(w, scores) if saturated else np.zeros_like(at_root)
+                for i in at_root.nonzero()[0]:
+                    ends[i] = (SeparationError(
                         "fitted probabilities saturated at the outcomes; data are separated")
-                        if flag else _final(method, scores[i], beta[i], True, it, norm[i]))
-            going = (~at_root).nonzero()[0]
-            if not len(going):
+                        if flagged[i] else _final(method, scores[i], beta[i], True, it, norm[i]))
+                live &= ~at_root
+            if not live.any():
                 break
-            step, errors = _steps(
-                jacobian(*_take(going, columns, w, scores)), *_take(going, residual), it)
-            for j, error in errors.items():
-                ends[live[going[j]]] = error
-            if errors:
-                usable = np.ones(len(going), dtype=bool)
-                usable[list(errors)] = False
-                going, step = going[usable], step[usable]
-            if it == max_iter:
-                for i in going:
-                    ends[live[i]] = _final(method, scores[i], beta[i], False, it, norm[i])
+            jac = jacobian(columns, w, scores)
+            jac[~live] = np.eye(jac.shape[1])
+            residual[~live] = 0.0
+            step, errors = _steps(jac, residual, it)
+            for i, error in errors.items():
+                ends[i], live[i] = error, False
+            if it == max_iter or not live.any():
+                for i in live.nonzero()[0]:
+                    ends[i] = _final(method, scores[i], beta[i], False, it, norm[i])
                 break
-            if not len(going):
-                break
-            # the line searches, a halving at a time: (live indices,
-            # candidate, merit, eta_max, residual, scores) of the members
-            # each round accepts
-            search, accepted, scale = going, [], 1.0
+            # the line searches, a halving at a time: each member's
+            # accepted candidate and its (merit, eta_max, residual,
+            # scores) are written into the first round's arrays
+            searching, trial, scale = live.copy(), None, 1.0
             for _ in range(40):
-                now_beta, now_columns, now_w, now_value = _take(search, beta, columns, w, value)
-                cand = now_beta + scale * step
-                found = evaluate(now_columns, now_w, cand)
-                ok = accept(found[0], now_value, scale)
-                if ok.all():
-                    accepted.append((search, cand, *found))
-                    search = search[:0]
+                cand = beta + scale * step
+                found = (cand, *evaluate(columns, w, cand))
+                ok = searching & accept(found[1], value, scale)
+                if trial is None:
+                    trial = found
+                else:
+                    for kept, new in zip(trial, found):
+                        kept[ok] = new[ok]
+                searching &= ~ok
+                if not searching.any():
                     break
-                if ok.any():
-                    accepted.append(tuple(a[ok] for a in (search, cand, *found)))
-                search, step = search[~ok], step[~ok]
                 scale *= 0.5
-            for i in search:
-                ends[live[i]] = _final(method, scores[i], beta[i], False, it + 1, norm[i])
-            if not accepted:
-                break
-            if len(accepted) > 1:
-                parts = [np.concatenate(a) for a in zip(*accepted)]
-                order = parts[0].argsort()
-                accepted = [[a[order] for a in parts]]
-            rows, beta, value, eta_max, residual, scores = accepted[0]
-            separated = eta_max > _SEPARATION_ETA
-            if separated.any():
-                for i in separated.nonzero()[0]:
-                    ends[live[rows[i]]] = SeparationError(
-                        f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
-                    )
-                keep = (~separated).nonzero()[0]
-                beta, value, residual, scores, rows = _take(
-                    keep, beta, value, residual, scores, rows)
-            columns, w, live = _take(rows, columns, w, live)
-            if not len(live):
-                break
+            for i in searching.nonzero()[0]:
+                ends[i] = _final(method, scores[i], beta[i], False, it + 1, norm[i])
+            live &= ~searching
+            beta, value, eta_max, residual, scores = trial
+            separated = live & (eta_max > _SEPARATION_ETA)
+            for i in separated.nonzero()[0]:
+                ends[i] = SeparationError(
+                    f"linear predictor exceeded {_SEPARATION_ETA:g}; data are separated"
+                )
+            live &= ~separated
     return ends
 
 
 def _fit(solver, x: np.ndarray, w: np.ndarray):
-    """``solver`` on the members of ``x`` and ``w`` that pass the input
-    checks: the ``BatchFit`` of a stack, or the fit of one subset."""
-    columns, w, errors = _check_fit_inputs(x, w)
-    ok = [i for i, error in enumerate(errors) if error is None]
-    batch = BatchFit(_fill(errors, solver(*_take(ok, columns, w)) if ok else ()))
+    """``solver`` on the checked stack of ``x`` and ``w``, each member
+    that fails the input checks ending in its error: the ``BatchFit`` of
+    a stack, or the fit of one subset."""
+    batch = BatchFit(solver(*_check_fit_inputs(x, w)))
     return batch if np.ndim(x) == 3 else batch.single()
 
 
@@ -397,12 +374,15 @@ def _likelihood_equations(columns: np.ndarray, w: np.ndarray, beta: np.ndarray):
     return loglik, eta_max, score, pi
 
 
-def _irls(columns: np.ndarray, w: np.ndarray) -> list:
-    """The IRLS fits on checked covariate columns and float 0/1 rows ``w``."""
+def _irls(columns: np.ndarray, w: np.ndarray, ends: list) -> list:
+    """The IRLS fits on checked covariate columns and float 0/1 rows
+    ``w``; a member with an input error in ``ends`` ends in it."""
     beta = np.zeros((len(w), columns.shape[1] + 1))
-    # Start at the intercept-only MLE so the first step is well scaled.
-    rate = w.mean(axis=1)
-    beta[:, 0] = np.log(rate / (1.0 - rate))
+    # Start at the intercept-only MLE so the first step is well scaled;
+    # a member with a single arm, or no rows, has none.
+    with np.errstate(all="ignore"):
+        rate = w.sum(axis=1) / w.shape[1]
+        beta[:, 0] = np.log(rate / (1.0 - rate))
     return _newton(
         "logistic", _likelihood_equations,
         # minus the Fisher information X'WX, W = pi(1 - pi)
@@ -410,7 +390,7 @@ def _irls(columns: np.ndarray, w: np.ndarray) -> list:
         # a step is taken unless the log-likelihood falls
         lambda new, old, scale: new >= old - 1e-12 * np.abs(old),
         columns, w, beta, IRLS_TOL, IRLS_MAX_ITER,
-        lambda w, pi: np.abs(w - pi).max(axis=1) < _SATURATION_TOL,
+        lambda w, pi: np.abs(w - pi).max(axis=1) < _SATURATION_TOL, ends,
     )
 
 
@@ -455,21 +435,23 @@ def fit_cbps(x: np.ndarray, w: np.ndarray) -> PropensityFit | BatchFit:
     return _fit(_cbps, x, w)
 
 
-def _cbps(columns: np.ndarray, w: np.ndarray) -> list:
+def _cbps(columns: np.ndarray, w: np.ndarray, ends: list) -> list:
     """The balancing fits on checked columns and float rows ``w``, each
-    from its member's IRLS fit; a member whose IRLS fit fails ends in
-    that error."""
-    start = _irls(columns, w)
-    slots = [None if isinstance(fit, PropensityFit) else fit for fit in start]
-    ok = [i for i, slot in enumerate(slots) if slot is None]
-    return _fill(slots, _newton(
+    from its member's IRLS fit; a member with an input error in ``ends``,
+    or whose IRLS fit fails, ends in that error."""
+    start = _irls(columns, w, ends)
+    ends = [None if isinstance(fit, PropensityFit) else fit for fit in start]
+    beta = np.zeros((len(w), columns.shape[1] + 1))  # a member that ended stays at 0
+    for member_beta, fit, end in zip(beta, start, ends):
+        if end is None:
+            member_beta[:] = fit.coefficients
+    return _newton(
         "cbps", _balance_conditions, _balance_jacobian,
         # Armijo with c = 1e-4: along the Newton step the merit f has
         # slope -||g||^2 = -2f
         lambda new, old, scale: new <= old * (1.0 - 2e-4 * scale),
-        *_take(ok, columns, w), np.array([start[i].coefficients for i in ok]),
-        CBPS_TOL, CBPS_MAX_ITER,
-    ) if ok else ())
+        columns, w, beta, CBPS_TOL, CBPS_MAX_ITER, ends=ends,
+    )
 
 
 def marginal_propensity(w: np.ndarray) -> PropensityFit:

@@ -60,12 +60,36 @@ def test_pairs_alternate_and_report_ratio_and_wins(tool, tmp_path):
     summary = entry["summary"]
     assert summary["metrics"]["op_wall_s"] == {
         "median_ratio": 0.5, "change_won": 3, "pairs": 3,
-        "parent_quartiles": [2.0, 2.0, 2.0], "change_quartiles": [1.0, 1.0, 1.0]}
-    assert summary["metrics"]["peak_rss_mb"]["change_won"] == 0  # ties count for neither
+        "parent_quartiles": [2.0, 2.0, 2.0], "change_quartiles": [1.0, 1.0, 1.0],
+        "median_gap": -1.0, "parent_spread": 0.0, "gap_exceeds_spread": True}
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["change_won"] == 0  # ties count for neither
+    assert (rss["median_gap"], rss["parent_spread"], rss["gap_exceeds_spread"]) == (0.0, 0.0, False)
     assert summary["parent"] == {"process.cpu_s": 2.0, "rng.substreams": 12,
                                  "propensity.fit_iterations": 40,
                                  "engine.replicate_cells": 900}
     assert summary["change"]["process.cpu_s"] == 1.0
+
+
+def test_a_gap_within_the_parents_spread_is_no_gain(tool, tmp_path):
+    # the parent's untraced runs take 2, 3 and 4 s, so its quartiles are
+    # 2.5, 3 and 3.5; the change's 2.5 s wins two pairs of three, but its
+    # median is only 0.5 s below the parent's, within the 1 s spread
+    parent_walls = iter([2.0, 3.0, 4.0])
+
+    def runner(checkout, workload, seed, seconds, trace):
+        line = canned(checkout, workload, seed, seconds, trace)
+        if not trace:
+            wall = 2.5 if checkout == ROOT else next(parent_walls)
+            line["metrics"]["op_wall_s"]["value"] = wall
+        return line
+
+    benchmark = dict(BENCHMARK, workloads=BENCHMARK["workloads"][:1])
+    wall = tool.compare(benchmark, tmp_path, 11, 25, 3, runner)[WORKLOADS[0]]["summary"][
+        "metrics"]["op_wall_s"]
+    assert wall["change_won"] == 2
+    assert (wall["median_gap"], wall["parent_spread"], wall["gap_exceeds_spread"]) == (
+        -0.5, 1.0, False)
 
 
 def test_main_writes_the_document(tool, tmp_path, monkeypatch):

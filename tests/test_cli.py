@@ -381,6 +381,23 @@ class TestFiles:
         assert (tmp_path / "result.json").read_text() == "the last run's result\n"
         assert os.listdir(tmp_path) == ["result.json"]  # no temporary file left
 
+    @pytest.mark.parametrize("command,refusal,leaf,code", [
+        ("simulate", ["--replications", "5"], "b", 2), ("simulate", ["--seed", "-1"], "b", 2),
+        ("analyze", ["--weight-cap", "1e-12"], "b", 4), ("simulate", [], "b" * 300, 2)])
+    def test_a_refused_run_leaves_no_directories(self, dgm_csv, tmp_path, command, refusal,
+                                                 leaf, code):
+        # the output directory and its missing parents are made before the
+        # command checks its options, and before the run, which an
+        # impossible weight cap fails; mkdir makes "a" and then refuses a
+        # name too long; a directory that was there stays
+        out = tmp_path / "there" / "a" / leaf
+        (tmp_path / "there").mkdir()
+        argv = (analyze_args(dgm_csv, out) if command == "analyze" else
+                ["simulate", "--n", "400", "--replications", "10", "--subsets", "2",
+                 "--replicates", "20", "--output", str(out)])
+        assert main(argv + refusal) == code
+        assert os.listdir(tmp_path / "there") == []
+
     def test_simulate_writes_no_summary_without_its_csv(self, tmp_path, monkeypatch, capsys):
         class FullDisk:
             def __init__(self, handle):

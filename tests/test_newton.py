@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from causalboot import BlbConfig, EstimationError, SeparationError, fit_cbps, fit_logistic_irls, run_blb
+from causalboot import (BlbConfig, DegenerateSubsetError, EstimationError, SeparationError, fit_cbps,
+                        fit_logistic_irls, run_blb)
 from causalboot import engine, propensity
 from causalboot import rng as cbrng
 from causalboot.cli import main
@@ -41,7 +42,7 @@ def newton_log(monkeypatch):
 
         def traced_evaluate(*args):
             merit, eta_max, residual, scores = evaluate(*args)
-            log.append(("e", residual[0]))
+            log.append(("e", residual[0].copy()))  # the loop may write over it later
             return merit, eta_max, residual, scores
 
         def traced_jacobian(*args):
@@ -237,7 +238,7 @@ class TestStoppingRules:
             return solve(a, b) if len(solves) == 1 else -solve(a, b)
 
         start = fit_logistic_irls(dgm_table.x, dgm_table.w)
-        monkeypatch.setattr(propensity, "_irls", lambda columns, w: [start])
+        monkeypatch.setattr(propensity, "_irls", lambda columns, w, ends: [start])
         monkeypatch.setattr(np.linalg, "solve", reversed_after_first)
         fit = fit_cbps(dgm_table.x, dgm_table.w)
         assert not fit.converged
@@ -315,11 +316,37 @@ class TestBatches:
                 iterations += alone.iterations
             assert batch.iterations == iterations
 
-    def test_a_batch_of_one_copies_no_design(self):
+    def test_a_batch_of_one_copies_no_design(self, monkeypatch):
         # the stack a single fit builds views the covariates it was given
         x = generate_dgm(500, cbrng.substream(7, cbrng.DOMAIN_DATASET, 0)).x.T.copy().T
         columns, _, errors = propensity._check_fit_inputs(x, np.arange(500) % 2)
         assert errors == [None] and np.shares_memory(columns, x)
+        # nor does a batch copy it when members stop: an ordinary member,
+        # one with a single arm (no fit) and one that separates, given as
+        # the transpose of a contiguous (m, p, b) stack, as the engine does
+        members = [member_design(10 + i, 60, 2, kind, 1.0)
+                   for i, kind in enumerate(("random", "single_arm", "separated"))]
+        stack = np.ascontiguousarray(np.stack([x.T for x, _ in members]))
+        w = np.stack([w for _, w in members])
+        seen, newton = [], propensity._newton
+
+        def traced(method, evaluate, jacobian, *rest, **kwargs):
+            def traced_evaluate(columns, *args):
+                seen.append(np.shares_memory(columns, stack))
+                return evaluate(columns, *args)
+
+            def traced_jacobian(columns, *args):
+                seen.append(np.shares_memory(columns, stack))
+                return jacobian(columns, *args)
+
+            return newton(method, traced_evaluate, traced_jacobian, *rest, **kwargs)
+
+        monkeypatch.setattr(propensity, "_newton", traced)
+        for fit_fn in (fit_logistic_irls, fit_cbps):
+            fits = fit_fn(stack.transpose(0, 2, 1), w).fits
+            assert [type(fit) for fit in fits] == [
+                PropensityFit, DegenerateSubsetError, SeparationError]
+        assert seen and all(seen)
 
 
 def analyze_argv(csv_path, method, threads, out):

@@ -17,10 +17,14 @@ versions.
 with this one (the change).  For each workload it runs ten pairs of
 ``--trace 0`` runs, one of each side, alternating which side goes
 first, and keeps every pair; then one ``--trace 1`` run of each side.
-For each end-to-end metric it reports the median change/parent ratio
-and how many pairs the change won, next to each side's
-``process.cpu_s`` and deterministic counts from its traced run.  Only
-alternated pairs separate a change from a host whose slow and fast
+For each end-to-end metric it reports the median change/parent ratio,
+how many pairs the change won, each side's quartiles, the change's
+median minus the parent's (``median_gap``), the parent's q3 - q1
+(``parent_spread``) and whether the gap is wider than that spread
+(``gap_exceeds_spread``), next to each side's ``process.cpu_s`` and
+deterministic counts from its traced run.  A gain counts only when the
+change wins nine pairs in ten and its gap exceeds the parent's spread.
+Only alternated pairs separate a change from a host whose slow and fast
 periods last a minute or more.  The file is written to the root of this
 checkout.
 """
@@ -105,7 +109,8 @@ def compare(benchmark: dict, parent: Path, seed: int, seconds: float, pairs: int
             runner) -> dict:
     """``pairs`` alternated pairs of untraced runs and one traced run of each side,
     per workload, with each end-to-end metric's median ratio, the pairs the
-    change won (ties count for neither side) and each side's quartiles."""
+    change won (ties count for neither side), each side's quartiles and
+    whether the gap between the medians exceeds the parent's q3 - q1."""
     sides = {"parent": parent, "change": ROOT}
     out = {}
     for workload in benchmark["workloads"]:
@@ -121,12 +126,17 @@ def compare(benchmark: dict, parent: Path, seed: int, seconds: float, pairs: int
             before = [_value(pair["parent"], metric["name"]) for pair in kept]
             after = [_value(pair["change"], metric["name"]) for pair in kept]
             lower = metric["better"] == "lower"
+            parent_q, change_q = _quartiles(before), _quartiles(after)
+            gap, spread = change_q[1] - parent_q[1], parent_q[2] - parent_q[0]
             metrics[metric["name"]] = {
                 "median_ratio": statistics.median(a / b for a, b in zip(after, before)),
                 "change_won": sum(a < b if lower else a > b for a, b in zip(after, before)),
                 "pairs": pairs,
-                "parent_quartiles": _quartiles(before),
-                "change_quartiles": _quartiles(after),
+                "parent_quartiles": parent_q,
+                "change_quartiles": change_q,
+                "median_gap": gap,
+                "parent_spread": spread,
+                "gap_exceeds_spread": abs(gap) > spread,
             }
         out[name] = {
             "pairs": kept,
