@@ -356,6 +356,11 @@ def cmd_analyze(opts: argparse.Namespace, started: str) -> int:
     _write_result(opts.output / "result.json", "analyze", started,
                   _estimate_payload(result, table.dropped_rows), opts, timing,
                   input_digest=_digest(table))
+    fraction = result.diagnostics["row_fraction"]
+    if fraction < 1:
+        print(f"warning: the subsets hold {fraction:.3g} of the rows, so the interval may "
+              f"undercover; --subsets {math.ceil(result.n / result.b)} would hold them all",
+              file=sys.stderr)
     print(
         f"tau_hat={result.tau_hat:.6g} se={result.se:.6g} "
         f"ci=({result.ci.lower:.6g}, {result.ci.upper:.6g}) [{result.ci.kind}]"

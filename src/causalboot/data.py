@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import math
 import warnings
@@ -40,7 +41,7 @@ class ObservationTable:
     of treated rows is counted once, at validation.  Row order is load
     order and all downstream determinism is defined relative to it.
     A table ``load_csv`` built keeps ``digest``, the hex sha256 of the
-    file's bytes; any other table has None there.
+    bytes it parsed; any other table has None there.
     Arrays are frozen after validation so tables can be shared across
     worker threads.
     """
@@ -244,9 +245,8 @@ def _parse_rows(lines, stop: int, used: list[str], cols: list[int],
     return data, i - first_row, dropped
 
 
-def _line_capacity(raw) -> tuple[int, str]:
-    r"""The line endings of a binary file, an upper bound on its data
-    rows, and the hex sha256 of its bytes, from one read.
+def _line_capacity(raw) -> int:
+    r"""The line endings of a binary file, an upper bound on its data rows.
 
     Each ``\n``, ``\r\n`` and lone ``\r`` counts once, the endings the
     text reader splits lines on.  A record takes at least one line and
@@ -255,9 +255,7 @@ def _line_capacity(raw) -> tuple[int, str]:
     """
     endings = 0
     after_cr = False
-    sha = hashlib.sha256()
     while chunk := raw.read(_BLOCK_CHARS):
-        sha.update(chunk)
         # numpy compares bytes several times faster than bytes.count
         endings += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
         if b"\r" in chunk:  # each lone \r; a \r\n has counted as its \n
@@ -265,10 +263,25 @@ def _line_capacity(raw) -> tuple[int, str]:
         if after_cr and chunk.startswith(b"\n"):  # a \r\n split by the chunking
             endings -= 1
         after_cr = chunk.endswith(b"\r")
-    return endings, sha.hexdigest()
+    return endings
 
 
-def _parse(handle, header: list[str], used: list[str], na_policy: str, capacity: int):
+class _HashingReader(io.RawIOBase):
+    """A binary file read through, each byte read also fed to ``sha``."""
+
+    def __init__(self, raw, sha):
+        self.raw, self.sha = raw, sha
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.raw.readinto(buffer)
+        self.sha.update(memoryview(buffer)[:count])
+        return count
+
+
+def _parse(handle, path, header: list[str], used: list[str], na_policy: str, capacity: int):
     """Parse the data rows block by block into columns of ``capacity``
     rows; returns (y, w, x, rows dropped), each array a C-contiguous view
     of the rows kept.
@@ -299,7 +312,7 @@ def _parse(handle, header: list[str], used: list[str], na_policy: str, capacity:
             records += data.shape[0]
         end = kept + data.shape[0]
         if end > capacity:
-            raise DataError(f"{handle.name} changed while it was read: it holds more rows "
+            raise DataError(f"{path} changed while it was read: it holds more rows "
                             f"than the {capacity} line endings its scan counted")
         y[kept:end] = data[:, 0]
         w[kept:end] = data[:, 1]
@@ -324,12 +337,13 @@ def load_csv(
     miscoded column, not missingness.  A column named in two roles is a
     ``ConfigError``, raised before the file is opened.  A leading
     byte-order mark is skipped.  One scan of the bytes counts the line
-    endings, which bounds the rows, and hashes them into the table's
-    ``digest``; the table's columns are allocated once at that bound, and
-    a file that outgrows it before the parse is a ``DataError``.
-    The used columns are then parsed in blocks of lines, each in one
-    vectorized pass, and written into the columns; a block that pass
-    declines is parsed again row by row, which alone applies the NA
+    endings, which bounds the rows; the table's columns are allocated
+    once at that bound, and a file that outgrows it before the parse is
+    a ``DataError``.  The parse reads the file again, through a sha256
+    whose hex digest is the table's ``digest``: the hash of exactly the
+    bytes parsed.  The used columns are parsed in blocks of lines, each
+    in one vectorized pass, and written into the columns; a block that
+    pass declines is parsed again row by row, which alone applies the NA
     policy and words every error.
     """
     if na_policy not in NA_POLICIES:
@@ -344,18 +358,21 @@ def load_csv(
     check("path", path, PATH, NUL_FREE)
 
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        raw = open(path, "rb", buffering=0)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    sha = hashlib.sha256()
     try:
-        with handle:
-            capacity, digest = _line_capacity(handle.buffer)
-            handle.seek(0)
+        with raw:
+            capacity = _line_capacity(raw)
+            raw.seek(0)
+            handle = io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, sha)),
+                                      encoding="utf-8-sig", newline="")
             header = next(csv.reader(handle), [])
             missing = [c for c in used if c not in header]
             if missing:
                 raise DataError(f"missing column(s) {missing} in {path}")
-            y, w, x, dropped = _parse(handle, header, used, na_policy, capacity)
+            y, w, x, dropped = _parse(handle, path, header, used, na_policy, capacity)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
@@ -365,7 +382,7 @@ def load_csv(
         raise DataError(f"no usable rows in {path} (dropped {dropped})")
     return ObservationTable(
         y=y, w=w, x=x, covariate_names=tuple(covariate_cols), dropped_rows=dropped,
-        digest=digest,
+        digest=sha.hexdigest(),
     )
 
 

@@ -6,9 +6,11 @@ into its arms and computes, once, the normalized arm weights and the
 covariate balance, into one ``SubsetFit`` record.  The subsets go
 through this stage in batches of at most ``_BATCH_ROWS`` rows, each
 batch's regression fits in one stacked Newton loop, so small subsets
-pay numpy's fixed cost per call once per batch.  From each record the
-engine draws ``r`` replicate pairs of multinomial count vectors at the
-*full-data* arm sizes (n1, n0).  Each replicate yields
+pay numpy's fixed cost per call once per batch.  A subset whose fit or
+weights are unusable is redrawn, up to ``max_redraws`` times; one that
+runs out of redraws ends the run before its batch is resampled.  From
+each record the engine draws ``r`` replicate pairs of multinomial count
+vectors at the *full-data* arm sizes (n1, n0).  Each replicate yields
 
     tau_hat = (1/n1) * sum_treated(M1_i * y_i)
             - (1/n0) * sum_control(M0_i * y_i)
@@ -39,6 +41,7 @@ count, BLAS thread count, block size, batch size or scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -425,78 +428,57 @@ def _check_usable(subsetfit: SubsetFit, config: BlbConfig) -> None:
         raise EstimationError(f"max |SMD| {balance.max_abs_smd:.3g} above threshold")
 
 
-def _attempt(
-    table: ObservationTable,
-    config: BlbConfig,
-    members: list[int],
-    attempt: int,
-    b: int,
-    external: PropensityFit | None,
-) -> list:
-    """Attempt ``attempt`` of each subset k in ``members``: its
-    ``SubsetFit``, or the ``EstimationError`` that makes it redraw.
-
-    Each member draws its rows from its own (seed, subset, attempt)
-    substream; all are fitted in one ``fit_scores`` call, and each is
-    then truncated, ordered and checked as if alone.  Every redraw
-    reason, a single-arm subset included, is an ``EstimationError`` from
-    the fit, ``order_subset`` or ``_check_usable``.
-    """
-    subsets = [
-        draw_subset(table, b, rng.substream(config.seed, rng.DOMAIN_SUBSET, k, attempt))
-        for k in members
-    ]
-    outcomes: list = []
-    for k, indices, fit in zip(members, subsets, fit_scores(table, subsets, config, external).fits):
-        try:
-            if isinstance(fit, EstimationError):
-                raise fit
-            subsetfit = order_subset(
-                table, indices, truncate_scores(fit, *config.truncation),
-                subset_id=k, balance_threshold=config.balance_threshold,
-            )
-            _check_usable(subsetfit, config)
-        except EstimationError as exc:
-            outcomes.append(exc)
-        else:
-            outcomes.append(subsetfit)
-    return outcomes
-
-
 def _run_batch(
     table: ObservationTable,
     config: BlbConfig,
-    members: range,
     b: int,
     external: PropensityFit | None,
-) -> list:
-    """The subsets ``members`` of a run: each one's estimate, or the
-    ``RedrawBudgetError`` that ends it.
+    members: range,
+) -> list[SubsetEstimate]:
+    """The estimates of the subsets ``members`` of a run, in order.
 
-    The members make their attempts together; those that fail go to
-    their next attempt together, as a smaller batch.  Each usable subset
-    is then resampled from its (seed, subset, attempt) replicate stream.
+    At each attempt, each pending member draws its rows from its own
+    (seed, subset, attempt) substream; all are fitted in one
+    ``fit_scores`` call, then each is truncated, ordered and checked as
+    if alone.  Every redraw reason, a single-arm subset included, is an
+    ``EstimationError`` from the fit, ``order_subset`` or
+    ``_check_usable``.  The first member, in subset order, still without
+    a usable subset after the last attempt is raised as a
+    ``RedrawBudgetError`` before any member is resampled; else each is
+    resampled from its (seed, subset, attempt) replicate stream.
     """
-    records: dict[int, tuple[SubsetFit, int]] = {}
+    usable: dict[int, tuple[SubsetFit, int]] = {}
     reasons: dict[int, list[str]] = {k: [] for k in members}
     for attempt in range(config.max_redraws + 1):
-        pending = [k for k in members if k not in records]
+        pending = [k for k in members if k not in usable]
         if not pending:
             break
-        for k, outcome in zip(pending, _attempt(table, config, pending, attempt, b, external)):
-            if isinstance(outcome, EstimationError):
-                reasons[k].append(f"attempt {attempt}: {outcome}")
+        subsets = [
+            draw_subset(table, b, rng.substream(config.seed, rng.DOMAIN_SUBSET, k, attempt))
+            for k in pending
+        ]
+        for k, indices, fit in zip(pending, subsets, fit_scores(table, subsets, config, external).fits):
+            try:
+                if isinstance(fit, EstimationError):
+                    raise fit
+                subsetfit = order_subset(
+                    table, indices, truncate_scores(fit, *config.truncation),
+                    subset_id=k, balance_threshold=config.balance_threshold,
+                )
+                _check_usable(subsetfit, config)
+            except EstimationError as exc:
+                reasons[k].append(f"attempt {attempt}: {exc}")
             else:
-                records[k] = (outcome, attempt)
-    estimates: list = []
+                usable[k] = (subsetfit, attempt)
     for k in members:
-        if k not in records:
-            estimates.append(RedrawBudgetError(
+        if k not in usable:
+            raise RedrawBudgetError(
                 f"subset {k}: no usable subset in {config.max_redraws + 1} attempts "
                 f"({'; '.join(reasons[k])})"
-            ))
-            continue
-        subsetfit, attempt = records.pop(k)
+            )
+    estimates = []
+    for k in members:
+        subsetfit, attempt = usable.pop(k)
         rep_stream = rng.substream(config.seed, rng.DOMAIN_REPLICATE, k, attempt)
         estimates.append(run_subset(
             subsetfit, config.replicates, table.n0, table.n1, config.alpha, rep_stream,
@@ -525,10 +507,12 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     ``config.threads`` batches when s allows it.  Each batch's subsets
     are drawn, fitted in one stacked call, truncated, ordered, checked
     against the weight cap and (optionally) the balance threshold,
-    redrawn together on failure, and resampled, by ``ordered_map`` on
-    ``config.threads`` threads; a batch's estimates are yielded when the
-    batch is finished.  Each subset's estimate is that of its subset
-    alone, so the batches change no number.  Closing the generator early
+    redrawn together on failure, and resampled, by ``_run_batch`` through
+    ``ordered_map`` on ``config.threads`` threads; a batch's estimates
+    are yielded when the batch is finished.  A subset out of redraws
+    raises its ``RedrawBudgetError`` from its batch, before that batch
+    is resampled.  Each subset's estimate is that of its subset alone,
+    so the batches change no number.  Closing the generator early
     cancels batches not yet started.
     """
     require_both_arms(table.w)
@@ -541,15 +525,10 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     s = config.subsets
     size = max(1, min(_BATCH_ROWS // b, s // config.threads))
 
-    def job(members: range) -> list:
-        return _run_batch(table, config, members, b, external)
-
     batches = [range(k, min(k + size, s)) for k in range(0, s, size)]
+    job = functools.partial(_run_batch, table, config, b, external)
     for estimates in ordered_map(job, batches, config.threads):
-        for estimate in estimates:
-            if isinstance(estimate, RedrawBudgetError):
-                raise estimate
-            yield estimate
+        yield from estimates
 
 
 def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
@@ -594,6 +573,7 @@ def run_blb(table: ObservationTable, config: BlbConfig) -> BlbEstimate:
             (e.balance.max_abs_smd for e in estimates if e.balance.max_abs_smd is not None),
             default=None,
         ),
+        "row_fraction": total_rows / table.n,
     }
     return BlbEstimate(
         tau_hat=average("mean"),

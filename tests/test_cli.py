@@ -159,6 +159,25 @@ class TestAnalyze:
             "configuration error: subset size 30000 outside [2, 20000]\n"
         )
 
+    @pytest.mark.parametrize("subsets", [None, "20"])
+    def test_subsets_short_of_the_rows_are_warned_of(self, csv_20k, tmp_path, capsys, subsets):
+        # the defaults give b = 1,025, so 10 subsets hold 0.5125 of the
+        # 20,000 rows and 20 subsets all of them
+        code = main(analyze_args(csv_20k, tmp_path, **{
+            "--gamma": None, "--subsets": subsets, "--replicates": None,
+        }))
+        assert code == 0
+        fraction = json.loads((tmp_path / "result.json").read_text())["payload"]["diagnostics"][
+            "row_fraction"]
+        err = capsys.readouterr().err
+        if subsets is None:
+            assert fraction == 10 * 1025 / 20_000
+            assert err == ("warning: the subsets hold 0.512 of the rows, so the interval may "
+                           "undercover; --subsets 20 would hold them all\n")
+        else:
+            assert fraction == 20 * 1025 / 20_000
+            assert err == ""
+
     def test_external_scores_wrong_length(self, dgm_csv, tmp_path):
         scores = tmp_path / "scores.txt"
         scores.write_text("0.5\n0.5\n", encoding="utf-8")

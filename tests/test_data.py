@@ -494,25 +494,18 @@ class TestLineCapacity:
            block_chars=st.integers(1, 8))
     def test_counts_each_line_ending_once(self, text, block_chars):
         # the endings of the lines the text reader splits, whatever the
-        # chunk boundaries, so a \r\n split by them counts once; and the
-        # hash of every byte
+        # chunk boundaries, so a \r\n split by them counts once
         lines = io.TextIOWrapper(io.BytesIO(text.encode()), newline="").readlines()
         endings = sum(line.endswith(("\n", "\r")) for line in lines)
         with mock.patch.object(cbdata, "_BLOCK_CHARS", block_chars):
-            assert cbdata._line_capacity(io.BytesIO(text.encode())) == (
-                endings, hashlib.sha256(text.encode()).hexdigest())
+            assert cbdata._line_capacity(io.BytesIO(text.encode())) == endings
 
 
 def scan_short_by(rows):
     """``_line_capacity`` counting ``rows`` endings fewer than the file has,
     as if the file grew by that many lines after its scan."""
     scan = cbdata._line_capacity
-
-    def short(raw):
-        endings, digest = scan(raw)
-        return endings - rows, digest
-
-    return mock.patch.object(cbdata, "_line_capacity", short)
+    return mock.patch.object(cbdata, "_line_capacity", lambda raw: scan(raw) - rows)
 
 
 class TestGrowingFile:
@@ -540,6 +533,25 @@ class TestGrowingFile:
         path = export_dgm_csv(tmp_path / "exact.csv", n=3000)
         with scan_short_by(1):
             assert load_csv(path, *USED).n == 3000
+
+    def test_a_rewrite_after_the_scan_is_parsed_and_digested_as_its_new_bytes(self, tmp_path):
+        # the same lines and bytes, each row's treatment flipped: the
+        # digest is of the bytes parsed, not of those scanned
+        path = export_dgm_csv(tmp_path / "rewritten.csv", n=3000)
+        old = path.read_bytes()
+        new = old.replace(b",0,", b",_,").replace(b",1,", b",0,").replace(b",_,", b",1,")
+        assert new != old and len(new) == len(old) and new.count(b"\n") == old.count(b"\n")
+        scan = cbdata._line_capacity
+
+        def scan_then_rewrite(raw):
+            endings = scan(raw)
+            path.write_bytes(new)
+            return endings
+
+        with mock.patch.object(cbdata, "_line_capacity", scan_then_rewrite):
+            table = load_csv(path, *USED)
+        assert table.digest == hashlib.sha256(new).hexdigest()
+        assert table_outcome(lambda: table) == load_outcome(path, "reject", fast=False)
 
 
 class TestBuildMemory:

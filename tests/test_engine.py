@@ -548,6 +548,28 @@ class TestIterSubsets:
             assert got.subset_id == want.subset_id
             assert np.array_equal(got.draws, want.draws)
 
+    def test_a_subset_out_of_redraws_stops_its_batch_before_resampling(self):
+        # n = 2,000 gives b = 205: the ten subsets make one batch
+        table = generate_dgm(2000, cbrng.substream(11, cbrng.DOMAIN_DATASET, 0))
+        cfg = cb.BlbConfig(seed=11, max_redraws=2, threads=1)
+        real_order = engine.order_subset
+
+        def refuse_three(*args, subset_id=0, **kwargs):
+            if subset_id == 3:
+                raise EstimationError("refused")
+            return real_order(*args, subset_id=subset_id, **kwargs)
+
+        yielded = []
+        with mock.patch.object(engine, "order_subset", side_effect=refuse_three), \
+                mock.patch.object(engine, "run_subset", wraps=engine.run_subset) as resample:
+            with pytest.raises(RedrawBudgetError, match=r"^subset 3: ") as exc:
+                for estimate in cb.iter_subsets(table, cfg):
+                    yielded.append(estimate)
+        reasons = re.findall(r"attempt (\d+): ([^;]*)[;)]", str(exc.value))
+        assert reasons == [("0", "refused"), ("1", "refused"), ("2", "refused")]
+        assert resample.call_count == 0
+        assert yielded == []
+
 
 class TestRunBlb:
     def test_marginal_single_full_subset_matches_difference_in_means(self, dgm_table):

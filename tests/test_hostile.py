@@ -392,6 +392,8 @@ def hostile_option(argv_base, capsys, command, name, text):
     """Exit 0, 2, 3 or 4, and a refusal on one line with no traceback."""
     code, err = run_cli(argv_base, capsys, command, name, text)
     assert code in (0, 2, 3, 4) and "Traceback" not in err, (code, err)
+    if code == 0:  # a run whose subsets hold fewer rows than the data warns on one line
+        err = re.sub(r"\Awarning: the subsets hold [^\n]* would hold them all\n", "", err)
     assert err.count("\n") == (code != 0), err
 
 
