@@ -44,8 +44,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from threading import Event
 
 import numpy as np
 
@@ -433,6 +433,7 @@ def _run_batch(
     config: BlbConfig,
     b: int,
     external: PropensityFit | None,
+    stop: Event,
     members: range,
 ) -> list[SubsetEstimate]:
     """The estimates of the subsets ``members`` of a run, in order.
@@ -445,11 +446,16 @@ def _run_batch(
     ``_check_usable``.  The first member, in subset order, still without
     a usable subset after the last attempt is raised as a
     ``RedrawBudgetError`` before any member is resampled; else each is
-    resampled from its (seed, subset, attempt) replicate stream.
+    resampled from its (seed, subset, attempt) replicate stream.  Once
+    ``stop`` is set, checked before each attempt and each resample, the
+    batch returns an empty list at once: ``ordered_map`` sets it when no
+    later result will be read.
     """
     usable: dict[int, tuple[SubsetFit, int]] = {}
     reasons: dict[int, list[str]] = {k: [] for k in members}
     for attempt in range(config.max_redraws + 1):
+        if stop.is_set():
+            return []
         pending = [k for k in members if k not in usable]
         if not pending:
             break
@@ -478,6 +484,8 @@ def _run_batch(
             )
     estimates = []
     for k in members:
+        if stop.is_set():
+            return []
         subsetfit, attempt = usable.pop(k)
         rep_stream = rng.substream(config.seed, rng.DOMAIN_REPLICATE, k, attempt)
         estimates.append(run_subset(
@@ -487,15 +495,33 @@ def _run_batch(
     return estimates
 
 
-def ordered_map(func: Callable, items: Iterable, threads: int) -> Iterator:
+def ordered_map(
+    func: Callable, items: Iterable, threads: int, stop: Event | None = None
+) -> Iterator:
     """``map(func, items)`` in input order, whatever the scheduling: on a
     pool of ``threads`` threads if there are several, else on the calling
-    thread."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(func, items)
-    else:
+    thread.
+
+    On a pool, ``stop`` is set when the first error in input order, a
+    task's or the caller's, leaves the generator, or when the caller
+    closes it; the pool then waits only for the tasks already running,
+    which may read ``stop`` to return early, since no later result is
+    read.  Every task before the failed one has finished by then, so
+    the error is the one a single thread raises.  The pool's module is
+    imported here: a one-thread run never loads it.
+    """
+    if threads <= 1:
         yield from map(func, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        try:
+            yield from pool.map(func, items)
+        except BaseException:  # GeneratorExit too: the caller closed the generator
+            if stop is not None:
+                stop.set()
+            raise
 
 
 def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetEstimate]:
@@ -511,9 +537,11 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     ``ordered_map`` on ``config.threads`` threads; a batch's estimates
     are yielded when the batch is finished.  A subset out of redraws
     raises its ``RedrawBudgetError`` from its batch, before that batch
-    is resampled.  Each subset's estimate is that of its subset alone,
-    so the batches change no number.  Closing the generator early
-    cancels batches not yet started.
+    is resampled; on several threads it also stops the later batches
+    still running, at their next attempt or resample.  Each subset's
+    estimate is that of its subset alone, so the batches change no
+    number.  Closing the generator early cancels batches not yet
+    started and stops those running the same way.
     """
     require_both_arms(table.w)
     b = config.subset_size or subset_size(table.n, config.gamma)
@@ -526,8 +554,9 @@ def iter_subsets(table: ObservationTable, config: BlbConfig) -> Iterator[SubsetE
     size = max(1, min(_BATCH_ROWS // b, s // config.threads))
 
     batches = [range(k, min(k + size, s)) for k in range(0, s, size)]
-    job = functools.partial(_run_batch, table, config, b, external)
-    for estimates in ordered_map(job, batches, config.threads):
+    stop = Event()
+    job = functools.partial(_run_batch, table, config, b, external, stop)
+    for estimates in ordered_map(job, batches, config.threads, stop):
         yield from estimates
 
 

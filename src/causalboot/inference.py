@@ -47,18 +47,49 @@ class BalanceReport:
     not_applicable: tuple[str, ...] = ()
 
 
+def linear_quantiles(values, qs) -> np.ndarray:
+    """The type-7 quantiles of the n >= 1 ``values`` at each of ``qs``, all
+    in [0, 1]: the linear interpolation between order statistics x(k)
+    and x(k+1), k = floor((n-1) q).
+
+    This is numpy's own ``method="linear"`` computation, step for step,
+    so the result equals ``np.quantile(values, qs, method="linear")`` bit
+    for bit, NaN, infinities and signed zeros included: one partition of
+    a copy on the same order statistics (the first and last included),
+    numpy's gamma (v + 1 at the last value) and its two-sided lerp, and
+    NaN at every q when a value is NaN.  ``np.quantile`` finds its order
+    statistics through ``np.unique``, which imports ``numpy.ma``.
+    """
+    x = np.array(values, dtype=np.float64).ravel()
+    v = (x.shape[0] - 1) * np.array(qs, dtype=np.float64, ndmin=1)
+    lo = np.floor(v)
+    lo[v >= x.shape[0] - 1] = -1
+    gamma = v - lo
+    lo = lo.astype(np.intp)
+    hi = np.where(lo == -1, -1, lo + 1)
+    x.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b = x[lo], x[hi]
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    if np.isnan(x[-1]):
+        result[...] = x[-1]
+    return result
+
+
 def percentile_ci(draws: np.ndarray, alpha: float) -> ConfidenceInterval:
     """Interval from the alpha/2 and 1-alpha/2 empirical quantiles.
 
     Uses linearly interpolated order statistics (the usual "type 7"
-    convention).
+    convention), by ``linear_quantiles``: one ``np.partition``, equal to
+    ``np.quantile(draws, ..., method="linear")`` bit for bit.
     """
     draws = np.asarray(draws, dtype=np.float64)
     if draws.size < 2:
         raise EstimationError("need at least 2 draws for a percentile interval")
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
-    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], method="linear")
+    lo, hi = linear_quantiles(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
     return ConfidenceInterval(float(lo), float(hi), kind="percentile", alpha=alpha)
 
 

@@ -24,7 +24,7 @@ from .config import BlbConfig
 from .data import ObservationTable
 from .engine import fit_scores, iter_subsets, order_subset, ordered_map, run_blb
 from .errors import ConfigError, EstimationError
-from .inference import hajek_ipw, percentile_ci
+from .inference import hajek_ipw, linear_quantiles, percentile_ci
 from .propensity import expit, truncate_scores
 
 TRUE_ATE = 2.0
@@ -162,7 +162,7 @@ def run_replications(
     taus = np.array([r.tau_hat for r in records])
     coverage = float(np.mean([r.covered for r in records]))
     seconds = np.array([r.seconds for r in records])
-    q25, q50, q75 = np.quantile(seconds, [0.25, 0.5, 0.75])
+    q25, q50, q75 = linear_quantiles(seconds, [0.25, 0.5, 0.75])
     return ReplicationSummary(
         records=records,
         bias=float(taus.mean() - TRUE_ATE),
@@ -245,8 +245,11 @@ def run_relerr_harness(
     truncation are ``BlbConfig``'s defaults, as in ``oracle_interval``;
     the weight cap is off (1.0) because the oracle interval has none.
     Trajectories are averaged over ``data_reps`` independent datasets
-    shared across gammas.  Every gamma's configuration is built, and so
-    checked, before the oracle is computed.
+    shared across gammas, drawn one at a time: every gamma runs on a
+    dataset before the next is drawn, so one dataset is alive at a time,
+    and each gamma's sums still add the datasets in order.  Every
+    gamma's configuration is built, and so checked, before the oracle is
+    computed.
     """
     if data_reps < 1:
         raise ConfigError("data_reps must be at least 1")
@@ -256,36 +259,32 @@ def run_relerr_harness(
     ]
     oracle = oracle_interval(n, oracle_reps, seed)
 
-    tables = [
-        generate_dgm(n, rng.substream(seed, rng.DOMAIN_DATASET, d))
-        for d in range(data_reps)
-    ]
-
-    out: list[RelErrTrajectory] = []
-    for gi, config in enumerate(configs):
-        err_acc = np.zeros(s_max)
-        time_acc = np.zeros(s_max)
-        for d, table in enumerate(tables):
+    err_acc = np.zeros((len(configs), s_max))
+    time_acc = np.zeros((len(configs), s_max))
+    for d in range(data_reps):
+        table = generate_dgm(n, rng.substream(seed, rng.DOMAIN_DATASET, d))
+        for gi, config in enumerate(configs):
             q_lo: list[float] = []
             q_up: list[float] = []
             cfg = dataclasses.replace(config, seed=rng.derive_seed(seed, gi, d))
             t0 = time.perf_counter()
             for k, est in enumerate(iter_subsets(table, cfg)):
-                time_acc[k] += time.perf_counter() - t0
+                time_acc[gi, k] += time.perf_counter() - t0
                 q_lo.append(est.q_lower)
                 q_up.append(est.q_upper)
                 running = (float(np.mean(q_lo)), float(np.mean(q_up)))
-                err_acc[k] += relative_error(oracle, running)
-        out.append(
-            RelErrTrajectory(
-                gamma=config.gamma,
-                subset_counts=list(range(1, s_max + 1)),
-                cum_seconds=list(time_acc / data_reps),
-                err=list(err_acc / data_reps),
-                oracle_ci=oracle,
-            )
+                err_acc[gi, k] += relative_error(oracle, running)
+        del table  # gone before the next dataset is drawn
+    return [
+        RelErrTrajectory(
+            gamma=config.gamma,
+            subset_counts=list(range(1, s_max + 1)),
+            cum_seconds=list(time_acc[gi] / data_reps),
+            err=list(err_acc[gi] / data_reps),
+            oracle_ci=oracle,
         )
-    return out
+        for gi, config in enumerate(configs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ class TimingCell:
 
     @property
     def median_seconds(self) -> float:
-        return float(np.median(self.seconds))
+        return float(linear_quantiles(self.seconds, [0.5])[0])
 
 
 def benchmark_timing(

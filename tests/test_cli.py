@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -654,3 +656,38 @@ def test_analyze_timing_holds_the_load_and_run_wall_times(dgm_csv, tmp_path):
     timing = json.loads((tmp_path / "result.json").read_text())["timing"]
     assert set(timing) == {"load_seconds", "total_seconds"}
     assert all(math.isfinite(value) and value >= 0 for value in timing.values())
+
+
+# Run in a fresh interpreter: pytest itself imports logging.  It prints
+# which of the modules a one-thread run does not use were loaded.
+FOOTPRINT = """
+import sys
+from causalboot import BlbConfig, generate_dgm, rng, run_blb
+from causalboot.cli import main
+
+run_blb(generate_dgm(600, rng.substream(1, rng.DOMAIN_DATASET, 0)), BlbConfig(seed=3))
+csv_path, out = sys.argv[1:]
+for argv in (
+    ["analyze", "--input", csv_path, "--outcome", "y", "--treatment", "w",
+     "--covariates", "x1,x2", "--threads", "1"],
+    ["simulate", "--n", "400", "--replications", "10", "--subsets", "2",
+     "--replicates", "20", "--threads", "1"],
+    ["relerr", "--n", "600", "--gammas", "0.7", "--replicates", "20",
+     "--oracle-reps", "100", "--data-reps", "1"],
+    ["benchmark", "--ns", "600", "--methods", "logistic", "--subsets", "2", "--reps", "1"],
+):
+    assert main(argv + ["--output", f"{out}/{argv[0]}"]) == 0
+print(sorted({"numpy.ma", "concurrent.futures", "logging"} & set(sys.modules)))
+"""
+
+
+def test_one_thread_runs_load_neither_numpy_ma_nor_the_thread_pool(dgm_csv, tmp_path):
+    # importing numpy.ma adds about 1.2 MB of resident memory, and
+    # concurrent.futures with logging about 0.6 MB; no command needs them
+    # on one thread
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT, str(dgm_csv), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

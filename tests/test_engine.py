@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from statistics import NormalDist
@@ -570,6 +571,56 @@ class TestIterSubsets:
         assert resample.call_count == 0
         assert yielded == []
 
+    def test_the_first_failure_stops_the_other_threads_batch(self):
+        # threads = 2 splits the ten subsets into two batches of five.  The
+        # second batch is held at its first ordering until the run is
+        # stopped, which happens when subset 3's error reaches the caller
+        table = generate_dgm(2000, cbrng.substream(11, cbrng.DOMAIN_DATASET, 0))
+        cfg = cb.BlbConfig(seed=11, max_redraws=2, threads=1)
+        real_order = engine.order_subset
+        stops = []
+
+        class RecordedEvent(threading.Event):
+            def __init__(self):
+                super().__init__()
+                stops.append(self)
+
+        def refuse_three(*args, subset_id=0, **kwargs):
+            if subset_id == 3:
+                raise EstimationError("refused")
+            if subset_id == 5 and stops:
+                assert stops[0].wait(timeout=60)
+            return real_order(*args, subset_id=subset_id, **kwargs)
+
+        def failure(threads):
+            with mock.patch.object(engine, "order_subset", side_effect=refuse_three), \
+                    mock.patch.object(engine, "run_subset", wraps=engine.run_subset) as resample:
+                with pytest.raises(RedrawBudgetError) as exc:
+                    list(cb.iter_subsets(table, dataclasses.replace(cfg, threads=threads)))
+            return str(exc.value), [c.args[0].subset_id for c in resample.call_args_list]
+
+        alone, alone_resampled = failure(1)
+        with mock.patch.object(engine, "Event", RecordedEvent):
+            pooled, pooled_resampled = failure(2)
+        assert alone.startswith("subset 3: ")
+        assert (pooled, pooled_resampled) == (alone, alone_resampled) == (alone, [])
+
+    def test_a_stopped_batch_returns_before_its_next_attempt(self):
+        stop = threading.Event()
+        stop.set()
+        cfg = cb.BlbConfig(seed=11)
+        with mock.patch.object(engine, "draw_subset") as draw:
+            assert engine._run_batch(None, cfg, 205, None, stop, range(5)) == []
+        assert draw.call_count == 0
+
+    def test_closing_the_pool_map_sets_stop(self):
+        stop = threading.Event()
+        results = engine.ordered_map(lambda i: i, range(8), 2, stop)
+        assert next(results) == 0
+        assert not stop.is_set()
+        results.close()
+        assert stop.is_set()
+
 
 class TestRunBlb:
     def test_marginal_single_full_subset_matches_difference_in_means(self, dgm_table):
@@ -731,8 +782,8 @@ class TestSubsetStageMemory:
         # n = 200,000 and gamma = 0.85 give b = 32,054.  The logistic fit
         # sets the peak, at 9.2 b-vectors of 8 bytes: the subset's indices,
         # its two covariate columns and about 6 vectors of the fit's own;
-        # ordering and resampling stay near 5.  The first run imports
-        # numpy.ma, which the peak should not count
+        # ordering and resampling stay near 5.  The first run fills numpy's
+        # one-time caches, a few KB that the peak should not count
         table = generate_dgm(200_000, cbrng.substream(11, cbrng.DOMAIN_DATASET, 0))
         cfg = cb.BlbConfig(gamma=0.85, subsets=2, replicates=20, seed=3)
         run_blb(table, cfg)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import causalboot
@@ -20,6 +21,7 @@ from causalboot import (
     truncate_scores,
 )
 from causalboot import rng as cbrng
+from causalboot.inference import linear_quantiles
 from causalboot.propensity import ArmWeights, fit_cbps
 from causalboot.simulation import generate_dgm
 
@@ -64,6 +66,36 @@ class TestPercentileCi:
     def test_too_few_draws(self):
         with pytest.raises(EstimationError):
             percentile_ci(np.array([1.0]), 0.05)
+
+
+# values drawn from a few, so that ties are common, or from all floats
+QUANTILE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3).map(float),
+)
+
+
+class TestLinearQuantiles:
+    @given(
+        values=st.lists(QUANTILE_VALUES, min_size=1, max_size=1000),
+        qs=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.025, 0.975]),
+                              st.floats(0.0, 1.0)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(values=[-0.0], qs=[0.0, 0.5, 1.0])
+    @example(values=[1.0, math.inf], qs=[0.0, 1.0])
+    @example(values=[2.0, math.nan, 1.0], qs=[0.5])
+    def test_equals_numpy_linear_bit_for_bit(self, values, qs):
+        with np.errstate(invalid="ignore"):  # inf - inf, in both
+            expected = np.quantile(np.array(values), qs, method="linear")
+            got = linear_quantiles(values, qs)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_leaves_its_input_as_it_is(self):
+        values = np.array([3.0, 1.0, 2.0])
+        assert linear_quantiles(values, [0.5]).tolist() == [2.0]
+        assert values.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestAsymptoticCi:

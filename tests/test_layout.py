@@ -100,6 +100,59 @@ def test_the_unused_import_check_sees_every_form(tmp_path):
     assert unused_imports(path) == ["mod.py:4 imports DataError"]
 
 
+# np.quantile, np.percentile and np.median find their order statistics
+# through np.unique, which imports numpy.ma (about 1.9 MB); the thread
+# pool's module imports logging, which a one-thread run never needs
+HEAVY_CALLS = {"quantile", "percentile", "median", "unique"}
+
+
+def heavy_loads(path):
+    """Module-level imports of ``concurrent.futures`` and reads of
+    ``np.quantile``, ``np.percentile``, ``np.median`` or ``np.unique``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    pending = list(tree.body)  # statements run at import, class bodies included
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            found += [f"{path.name}:{node.lineno} imports {name} at module level"
+                      for name in names if name.split(".")[0] == "concurrent"]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            pending.extend(ast.iter_child_nodes(node))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in HEAVY_CALLS
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_no_module_loads_numpy_ma_or_the_thread_pool_at_import():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in heavy_loads(path)]
+    assert found == []
+
+
+def test_the_footprint_check_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import numpy as np\n"
+        "def pool():\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "    return np.quantile(x, 0.5), np.partition(x, 1)\n"
+        "class Cell:\n"
+        "    median = np.median\n"
+    )
+    assert heavy_loads(path) == [
+        "mod.py:1 imports concurrent.futures at module level",
+        "mod.py:2 imports concurrent.futures at module level",
+        "mod.py:6 reads np.quantile",
+        "mod.py:8 reads np.median",
+    ]
+
+
 # Mutable on purpose: perfbench's checks assign fields of a finished
 # estimate (tau_hat, mean, b0, draws) to show that a corrupted result
 # fails them.

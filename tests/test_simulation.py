@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,22 @@ class TestRelErrHarness:
             run_relerr_harness(gammas=[0.5, 1.5], r=40, **args)
         with pytest.raises(ConfigError):
             run_relerr_harness(gammas=[0.5], r=1, **args)
+
+    def test_one_dataset_is_alive_at_a_time(self, monkeypatch, traced, table_bytes):
+        # four datasets of 20,000 rows, two gammas: the peak after the
+        # oracle is one table and generate_dgm's two n-vectors (about 1.4
+        # tables); all four tables alive at once would be over 4
+        n = 20_000
+        table = generate_dgm(n, cbrng.substream(5, cbrng.DOMAIN_DATASET, 0))
+
+        def oracle_then_reset(*args):
+            tracemalloc.reset_peak()  # the peak counts the datasets' loop only
+            return (1.5, 2.5)
+
+        monkeypatch.setattr(simulation, "oracle_interval", oracle_then_reset)
+        _, peak = traced(lambda: run_relerr_harness(
+            n, [0.5, 0.6], r=20, oracle_reps=100, data_reps=4, seed=5, s_max=2))
+        assert peak < 2 * table_bytes(table)
 
 
 class TestOracleInterval:
